@@ -58,48 +58,46 @@ def _check_shapes(chart: Chart) -> None:
         raise ShapeMismatch(f"alphas must have shape {(n, d - 1)}")
 
 
+def _completion_vectors(chart: Chart) -> np.ndarray:
+    """Completion vectors as an (n, d-1, d) stack: [j, k] is completion k of state j."""
+    n, d = chart.states.n, chart.states.dim
+    vecs = [s.vector for col in chart.completions for s in col]
+    return np.array(vecs, dtype=complex).reshape(n, d - 1, d)
+
+
+def _effects(alphas: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Stack of M(j) = sum_k alpha_jk |phi_jk><phi_jk|."""
+    return np.einsum("jk,jka,jkb->jab", alphas, phi, phi.conj())
+
+
 def verify_chart(chart: Chart, tol: float = linalg.DEFAULT_TOL) -> bool:
     """Check the three chart identities (columns, resolution, response)."""
     _check_shapes(chart)
     chart.states.require_pure("chart verification")
-    n, d = chart.states.n, chart.states.dim
+    d = chart.states.dim
     alphas = np.asarray(chart.alphas, dtype=float)
     if alphas.min() < -tol or alphas.max() > 1.0 + tol:
         return False
     eye = np.eye(d)
-    for state, col in zip(chart.states.states, chart.completions):
-        column_sum = state.projector + sum(s.projector for s in col)
-        if linalg.frobenius(column_sum - eye) > IDENTITY_TOL:
-            return False
-    resolution = sum(
-        alphas[j, k] * chart.completions[j][k].projector
-        for j in range(n)
-        for k in range(d - 1)
-    )
-    if linalg.frobenius(resolution - eye) > IDENTITY_TOL:
+    psi = np.array(chart.states.vectors())
+    phi = _completion_vectors(chart)
+    columns = np.concatenate([psi[:, None, :], phi], axis=1)
+    column_sums = np.einsum("jka,jkb->jab", columns, columns.conj())
+    if (np.linalg.norm(column_sums - eye, axis=(1, 2)) > IDENTITY_TOL).any():
         return False
-    mats = chart.states.densities()
-    for j in range(n):
-        effect = sum(
-            alphas[j, k] * chart.completions[j][k].projector for k in range(d - 1)
-        )
-        response = sum(np.trace(rho @ effect).real for rho in mats)
-        if response <= tol:
-            return False
-    return True
+    if linalg.frobenius(_effects(alphas, phi).sum(axis=0) - eye) > IDENTITY_TOL:
+        return False
+    # response of outcome j: sum_k tr(P_k M(j)) = sum_l alpha_jl sum_k |<psi_k|phi_jl>|^2
+    overlaps = np.abs(np.einsum("ka,jla->kjl", psi.conj(), phi)) ** 2
+    return bool(np.einsum("jl,kjl->j", alphas, overlaps).min() > tol)
 
 
 def povm_from_chart(chart: Chart, tol: float = linalg.DEFAULT_TOL) -> Povm:
     """Measurement with effects M(j) = sum_k alpha_jk P_jk."""
     if not verify_chart(chart, tol):
         raise InvalidChart("chart identities do not hold")
-    n, d = chart.states.n, chart.states.dim
     alphas = np.asarray(chart.alphas, dtype=float)
-    effects = [
-        sum(alphas[j, k] * chart.completions[j][k].projector for k in range(d - 1))
-        for j in range(n)
-    ]
-    return Povm(effects, tol)
+    return Povm(list(_effects(alphas, _completion_vectors(chart))), tol)
 
 
 def chart_from_povm(states: StateSet, m: Povm, tol: float = linalg.DEFAULT_TOL) -> Chart:
@@ -117,30 +115,16 @@ def chart_from_povm(states: StateSet, m: Povm, tol: float = linalg.DEFAULT_TOL) 
     completions = []
     alphas = np.zeros((n, d - 1))
     for j, (state, effect) in enumerate(zip(states.states, m.effects)):
-        if abs(np.trace(state.projector @ effect).real) > IDENTITY_TOL:
+        if abs(np.vdot(state.vector, effect @ state.vector).real) > IDENTITY_TOL:
             raise InvalidChart(f"effect {j} does not annihilate state {j}")
-        # tight sweep tolerance: per-effect reconstruction error accumulates
-        # over n effects in the resolution identity
-        herm = (effect + linalg.adjoint(effect)) / 2
-        w, v = linalg.hermitian_eigen(herm, 1e-12)
-        kept = [(lam, v[:, i]) for i, lam in enumerate(w) if lam > 1e-9]
-        kept.sort(key=lambda pair: -pair[0])
-        basis = [state.vector]
-        column: list[PureState] = []
-        for lam, vec in kept:
-            u = vec.copy()
-            for _ in range(2):
-                for q in basis:
-                    u -= np.vdot(q, u) * q
-            u /= np.linalg.norm(u)
-            basis.append(u)
-            alphas[j, len(column)] = min(float(lam), 1.0)
-            column.append(PureState(u))
-        for u in linalg.orthonormal_complement(basis, tol):
-            column.append(PureState(u))
-        if len(column) != d - 1:
+        w, v = linalg.hermitian_eigen(effect, tol)
+        kept = w > 1e-9
+        lam, vecs = w[kept][::-1], v[:, kept][:, ::-1]
+        if lam.size > d - 1:
             raise InvalidChart(f"could not complete a column for state {j}")
-        completions.append(tuple(column))
+        basis = linalg.orthonormal_columns(np.column_stack([state.vector, vecs]), complete=True)
+        alphas[j, : lam.size] = np.minimum(lam, 1.0)
+        completions.append(tuple(PureState(u) for u in basis[:, 1:].T))
     return Chart(states, tuple(completions), alphas)
 
 

@@ -5,8 +5,8 @@ against a state set), complete (qubit one-state completion), orbit
 (group-orbit generation with its covariant certificate), bloch (export
 Bloch coordinates as a text table).
 
-Exit codes: 0 antidistinguishable, 1 certified not, 2 input error,
-3 unknown.
+Exit codes: 0 antidistinguishable, 1 certified not, 2 input or internal
+error, 3 unknown.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -226,6 +227,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AntidistError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # exit codes 0, 1 and 3 are verdicts; a failure must never read as one
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_ERROR
 
 

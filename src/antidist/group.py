@@ -183,13 +183,9 @@ def standard_subspace_vectors(n: int) -> list[np.ndarray]:
     """Orthonormal basis of the zero-coordinate-sum subspace of C^n."""
     if n < 2:
         raise ValueError("the zero-sum subspace needs n >= 2")
-    diffs = []
-    for k in range(1, n):
-        v = np.zeros(n, dtype=complex)
-        v[0] = 1.0
-        v[k] = -1.0
-        diffs.append(v)
-    return linalg.orthonormalize(diffs)
+    # column k - 1 is e_0 - e_k; Gram-Schmidt keeps the first one as psi1
+    diffs = np.vstack([np.ones(n - 1), -np.eye(n - 1)])
+    return list(linalg.orthonormal_columns(diffs).T)
 
 
 def tetrahedral_state() -> PureState:

@@ -30,7 +30,11 @@ def complex_to_pair(z: complex) -> list[float]:
 def pair_to_complex(entry) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry, 0.0)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+    if (
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(isinstance(x, (int, float)) for x in entry)
+    ):
         return complex(float(entry[0]), float(entry[1]))
     raise FileFormatError(f"expected a number or [re, im] pair, got {entry!r}")
 
@@ -40,6 +44,8 @@ def vector_to_wire(v) -> list:
 
 
 def wire_to_vector(entries) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise FileFormatError(f"expected a vector as a list, got {entries!r}")
     return np.array([pair_to_complex(e) for e in entries], dtype=complex)
 
 
@@ -48,7 +54,9 @@ def matrix_to_wire(m) -> list:
 
 
 def wire_to_matrix(rows) -> np.ndarray:
-    return np.array([[pair_to_complex(e) for e in row] for row in rows], dtype=complex)
+    if not isinstance(rows, list):
+        raise FileFormatError(f"expected a matrix as a list of rows, got {rows!r}")
+    return np.array([wire_to_vector(row) for row in rows], dtype=complex)
 
 
 def real_vector_to_wire(v) -> list[float]:
@@ -91,6 +99,8 @@ def load_state_set(path: str, tol: float = 1e-9) -> tuple[StateSet, list[str]]:
             raise FileFormatError(f"{path}: state {k}: {exc}") from exc
     if labels is None:
         labels = [f"s{k}" for k in range(len(states))]
+    if not isinstance(labels, list):
+        raise FileFormatError(f"{path}: 'labels' must be a list")
     if len(labels) != len(states):
         raise FileFormatError(f"{path}: one label per state required")
     try:

@@ -1,15 +1,13 @@
 """Dense complex linear algebra for small Hermitian problems.
 
 Operators live in plain numpy arrays (complex128); real linear systems in
-float64.  Dimensions in this package are tiny (d <= ~64), so the solvers
-favor robustness and testability over asymptotic speed: eigendecomposition
-is cyclic Jacobi, linear systems go through partial-pivot elimination, and
-span projectors come from modified Gram-Schmidt.
+float64.  Each routine wraps a LAPACK call (through numpy) in the condition
+its callers rely on: ``eigh``/``eigvalsh`` after a Hermitian check, ``lstsq``
+with a rank test, one SVD for span and complement bases, and a QR with a
+positive R diagonal, which is the ordered Gram-Schmidt basis.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -18,10 +16,9 @@ from .errors import SingularSystem
 #: default tolerance for projector / positivity / closure tests
 DEFAULT_TOL = 1e-9
 
-#: pivot magnitude below which Gaussian elimination reports a singular system
+#: singular values below this fraction of the largest one make a linear
+#: system singular (a relative floor, not an absolute pivot size)
 PIVOT_FLOOR = 1e-12
-
-_MAX_JACOBI_SWEEPS = 60
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -39,174 +36,91 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1] and frobenius(a - adjoint(a)) <= tol
 
 
-def _jacobi_rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero h[p, q] with a unitary plane rotation, accumulating it into v."""
-    gamma = h[p, q]
-    g = abs(gamma)
-    phase = gamma / g
-    alpha = h[p, p].real
-    beta = h[q, q].real
-    tau = (beta - alpha) / (2.0 * g)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    u = np.array(
-        [[c, s], [-s * np.conj(phase), c * np.conj(phase)]], dtype=complex
-    )
-    h[:, [p, q]] = h[:, [p, q]] @ u
-    h[[p, q], :] = adjoint(u) @ h[[p, q], :]
-    h[p, q] = 0.0
-    h[q, p] = 0.0
-    h[p, p] = h[p, p].real
-    h[q, q] = h[q, q].real
-    v[:, [p, q]] = v[:, [p, q]] @ u
-
-
-def _off_diagonal_norm(h: np.ndarray) -> float:
-    return frobenius(h - np.diag(np.diag(h)))
-
-
 def hermitian_eigen(a: np.ndarray, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix.
 
-    Sweeps run until the off-diagonal Frobenius norm drops to ``tol``.
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and the matching
     orthonormal eigenvectors as columns of ``v``.
 
-    Raises ValueError if ``a`` is not Hermitian within ``tol``.
+    Raises ValueError if ``a`` is not a square matrix Hermitian within ``tol``.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eigendecomposition needs a square matrix")
     if not is_hermitian(a, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    n = a.shape[0]
-    h = (a + adjoint(a)) / 2.0
-    v = np.eye(n, dtype=complex)
-    # rotating every entry above tol/n keeps the total off-norm shrinking,
-    # so the sweep loop cannot stall before the convergence check fires
-    skip = tol / max(n, 1)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        if _off_diagonal_norm(h) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(h[p, q]) > skip:
-                    _jacobi_rotate(h, v, p, q)
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    w = np.diag(h).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh((a + adjoint(a)) / 2.0)
 
 
 def is_projection(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``a`` is Hermitian and idempotent within ``tol`` (Frobenius)."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
     return is_hermitian(a, tol) and frobenius(a @ a - a) <= tol
 
 
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``a`` is Hermitian within ``tol`` with min eigenvalue >= -tol."""
+def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL):
+    """True iff ``a`` is Hermitian within ``tol`` with min eigenvalue >= -tol.
+
+    A stack of shape (k, d, d) is tested in one batch and gives k answers.
+    """
     a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         return False
-    w, _ = hermitian_eigen(a, tol)
-    return bool(w.min() >= -tol)
+    adj = np.conj(np.swapaxes(a, -1, -2))
+    ok = (np.linalg.norm(a - adj, axis=(-2, -1)) <= tol) & (
+        np.linalg.eigvalsh((a + adj) / 2.0)[..., 0] >= -tol
+    )
+    return ok if a.ndim == 3 else bool(ok)
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray, pivot_floor: float = PIVOT_FLOOR) -> np.ndarray:
-    """Solve the real square system ``a x = b`` by Gaussian elimination.
+    """Solve the real square system ``a x = b``.
 
-    Partial pivoting; raises SingularSystem when a pivot magnitude falls
-    below ``pivot_floor``.
+    Raises SingularSystem when a singular value of ``a`` falls below
+    ``pivot_floor`` times the largest one, so that no unique solution exists.
     """
-    m = np.array(a, dtype=float)
-    x = np.array(b, dtype=float)
+    m = np.asarray(a, dtype=float)
+    x = np.asarray(b, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or x.shape != (m.shape[0],):
         raise ValueError("expected a square matrix and a matching vector")
-    n = m.shape[0]
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[piv, col]) < pivot_floor:
-            raise SingularSystem("pivot below threshold; system has no unique solution")
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            x[[col, piv]] = x[[piv, col]]
-        for row in range(col + 1, n):
-            f = m[row, col] / m[col, col]
-            if f != 0.0:
-                m[row, col:] -= f * m[col, col:]
-                x[row] -= f * x[col]
-    out = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        out[row] = (x[row] - m[row, row + 1 :] @ out[row + 1 :]) / m[row, row]
-    return out
+    solution, _, rank, _ = np.linalg.lstsq(m, x, rcond=pivot_floor)
+    if rank < m.shape[0]:
+        raise SingularSystem("rank-deficient system has no unique solution")
+    return solution
 
 
-def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Modified Gram-Schmidt; residuals with norm <= tol are discarded.
-
-    The second orthogonalization pass keeps the basis orthonormal to
-    machine precision even for nearly dependent inputs.
-    """
-    basis: list[np.ndarray] = []
-    for vec in vectors:
-        v = np.asarray(vec, dtype=complex).copy()
-        for _ in range(2):
-            for q in basis:
-                v -= np.vdot(q, v) * q
-        nrm = np.linalg.norm(v)
-        if nrm > tol:
-            basis.append(v / nrm)
-    return basis
+def _span_bases(vectors, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning span(vectors) and its orthogonal complement;
+    singular values at or below ``tol`` count as zero, so any vectors will do."""
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if not vecs:
+        raise ValueError("a span needs at least one vector")
+    u, s, _ = np.linalg.svd(np.column_stack(vecs))
+    rank = int((s > tol).sum())
+    return u[:, :rank], u[:, rank:]
 
 
 def span_projector(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the input vectors."""
-    vectors = [np.asarray(v, dtype=complex) for v in vectors]
-    if not vectors:
-        raise ValueError("span_projector needs at least one vector")
-    d = vectors[0].size
-    if any(v.size != d for v in vectors):
-        raise ValueError("all vectors must share a dimension")
-    basis = orthonormalize(vectors, tol)
-    proj = np.zeros((d, d), dtype=complex)
-    for q in basis:
-        proj += np.outer(q, q.conj())
-    return proj
+    span, _ = _span_bases(vectors, tol)
+    return span @ adjoint(span)
 
 
 def orthonormal_complement(vectors, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the orthogonal complement of span(vectors)."""
-    vectors = [np.asarray(v, dtype=complex) for v in vectors]
-    if not vectors:
-        raise ValueError("orthonormal_complement needs at least one vector")
-    d = vectors[0].size
-    basis = orthonormalize(vectors, tol)
-    rank = len(basis)
-    comp: list[np.ndarray] = []
-    for k in range(d):
-        if len(comp) == d - rank:
-            break
-        cand = np.zeros(d, dtype=complex)
-        cand[k] = 1.0
-        for _ in range(2):
-            for q in basis + comp:
-                cand -= np.vdot(q, cand) * q
-        nrm = np.linalg.norm(cand)
-        if nrm > tol:
-            comp.append(cand / nrm)
-    return comp
+    _, comp = _span_bases(vectors, tol)
+    return list(comp.T)
+
+
+def orthonormal_columns(a: np.ndarray, complete: bool = False) -> np.ndarray:
+    """Gram-Schmidt of the columns of ``a``, in order: the QR whose R has a
+    positive real diagonal, which makes it unique.  With ``complete`` the
+    columns are extended to a unitary."""
+    q, r = np.linalg.qr(np.asarray(a, dtype=complex), mode="complete" if complete else "reduced")
+    diag = np.diagonal(r)
+    q[:, : diag.size] *= np.exp(1j * np.angle(diag))
+    return q
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary (Gram-Schmidt of a Gaussian matrix)."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    cols = orthonormalize(z.T)
-    if len(cols) != dim:
-        # Gaussian columns are dependent with probability zero; retry anyway
-        return haar_unitary(dim, rng)
-    return np.column_stack(cols)
+    return orthonormal_columns(z)

@@ -78,7 +78,7 @@ class PureState:
 
     def overlap(self, other: "PureState") -> float:
         """tr(P Q), the squared modulus of the inner product."""
-        return float(np.trace(self.projector @ other.projector).real)
+        return float(abs(np.vdot(self.vector, other.vector)) ** 2)
 
     def __repr__(self):
         return f"PureState(dim={self.dim})"
@@ -120,9 +120,11 @@ class Povm:
         for idx, e in enumerate(mats):
             if e.ndim != 2 or e.shape != (d, d):
                 raise ValueError(f"effect {idx} is not {d}x{d}")
-            if not linalg.is_psd(e, tol):
-                raise NotPsd(idx)
-        residual = float(np.abs(sum(mats) - np.eye(d)).max())
+        stack = np.stack(mats)
+        failing = ~linalg.is_psd(stack, tol)
+        if failing.any():
+            raise NotPsd(int(np.argmax(failing)))
+        residual = float(np.abs(stack.sum(axis=0) - np.eye(d)).max())
         if residual > POVM_SUM_TOL:
             raise NotNormalized(residual)
         self.dim = d

@@ -84,6 +84,35 @@ def test_check_parse_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["check", "verify", "complete", "bloch"])
+def test_non_list_state_entries_exit_as_input_error(tmp_path, capsys, command):
+    path = write_json(tmp_path / "scalars.json", {"dim": 2, "states": [5, 6]})
+    args = [command, path] + ([path] if command == "verify" else [])
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_string_labels_exit_as_input_error(tmp_path, capsys):
+    doc = {"dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "labels": "ab"}
+    code, out, err = run(capsys, "check", write_json(tmp_path / "labels.json", doc))
+    assert code == 2
+    assert out == ""
+    assert "labels" in err
+
+
+def test_unexpected_exception_exits_as_error(triple_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(cli.pipeline, "decide", broken)
+    code, out, err = run(capsys, "check", triple_file)
+    assert code == 2
+    assert out == ""
+    assert "solver blew up" in err
+
+
 def test_verify_roundtrip(triple_file, tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     code, _, _ = run(capsys, "check", triple_file, "-o", cert_path)

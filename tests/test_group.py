@@ -185,6 +185,7 @@ def test_standard_subspace_vectors():
     vecs = standard_subspace_vectors(3)
     assert len(vecs) == 2
     psi1 = np.array([1, -1, 0]) / np.sqrt(2)
+    assert np.allclose(vecs[0], psi1, atol=1e-12)
     proj = sum(np.outer(v, v.conj()) for v in vecs)
     assert np.linalg.norm(proj @ psi1 - psi1) <= 1e-10
     assert np.allclose(proj, np.eye(3) - np.ones((3, 3)) / 3, atol=1e-10)

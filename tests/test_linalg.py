@@ -130,6 +130,8 @@ def test_solve_linear():
 
     with pytest.raises(SingularSystem):
         linalg.solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+    with pytest.raises(SingularSystem):
+        linalg.solve_linear(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), np.ones(2))
 
 
 def test_solve_linear_residuals_on_random_systems():
@@ -170,10 +172,11 @@ def test_span_projector_properties():
     rng = np.random.default_rng(31)
     for _ in range(25):
         d = int(rng.integers(2, 6))
-        k = int(rng.integers(1, d + 1))
+        k = int(rng.integers(1, 2 * d + 1))
         vecs = [helpers.random_vector(d, rng) for _ in range(k)]
         proj = linalg.span_projector(vecs)
         assert linalg.is_projection(proj, 1e-8)
+        assert np.isclose(np.trace(proj).real, min(k, d), atol=1e-8)
         for v in vecs:
             assert np.linalg.norm(proj @ v - v) <= 1e-8
         perm = rng.permutation(k)
@@ -193,9 +196,32 @@ def test_orthonormal_complement():
         full = linalg.span_projector([v] + comp)
         assert np.allclose(full, np.eye(d), atol=1e-9)
 
+        # several vectors, the last ones combinations of the first
+        k = int(rng.integers(1, d))
+        indep = [helpers.random_vector(d, rng) for _ in range(k)]
+        mixes = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+        vecs = indep + [m @ np.array(indep) for m in mixes]
+        comp = linalg.orthonormal_complement(vecs)
+        assert len(comp) == d - k
+        for u in comp:
+            assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-9)
+            assert max(abs(np.vdot(w, u)) for w in vecs) <= 1e-9
+        full = linalg.span_projector(vecs + comp)
+        assert np.allclose(full, np.eye(d), atol=1e-9)
+
 
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(51)
     for d in (1, 2, 3, 5):
         u = linalg.haar_unitary(d, rng)
         assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-10
+
+    # Gram-Schmidt convention: Z = U R with R upper triangular, diag(R) > 0
+    for d in (1, 2, 3, 5):
+        u = linalg.haar_unitary(d, np.random.default_rng(d))
+        rng = np.random.default_rng(d)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        r = u.conj().T @ z
+        assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-10
+        assert np.abs(np.diag(r).imag).max() <= 1e-10
+        assert np.diag(r).real.min() > 0

@@ -71,8 +71,12 @@ def test_povm_validation():
 
     with pytest.raises(NotNormalized):
         Povm([np.eye(2), np.eye(2)])
-    with pytest.raises(NotPsd):
+    with pytest.raises(NotPsd) as info:
         Povm([1.5 * np.eye(2), -0.5 * np.eye(2)])
+    assert info.value.index == 1
+    with pytest.raises(NotPsd) as info:
+        Povm([np.eye(2) / 2, np.array([[0.5, 0.5], [0.0, 0.5]])])
+    assert info.value.index == 1
 
 
 def test_state_set_rejects_duplicates():
