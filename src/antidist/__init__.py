@@ -49,9 +49,11 @@ from .group import (  # noqa: F401
 )
 from .chart import (  # noqa: F401
     Chart,
+    ChartSolution,
     chart_from_povm,
     povm_from_chart,
-    search_chart,
+    solve_chart,
     verify_chart,
+    verify_witness,
 )
 from .pipeline import decide  # noqa: F401

@@ -1,32 +1,43 @@
-"""Orthonormal-completion charts and the chart-based excluding measurement.
+"""Orthonormal-completion charts and the exact chart solve.
 
 A chart assigns to each state an orthonormal completion of the space plus
 coefficients in [0, 1].  Three identities make it a certificate: every
 column (state plus its completions) resolves the identity, the coefficient-
 weighted completions resolve the identity, and every outcome responds to
-at least one state.  Converting a chart to a measurement and a measurement
-back to a chart are both supported; the search for a chart is a randomized
-heuristic and a failed search is never evidence of a negative.
+at least one state.  Charts and measurements convert into each other.
+
+Finding one is the semidefinite feasibility problem X_j >= 0 with
+sum_j V_j X_j V_j^dagger = I, V_j an isometry onto the complement of state
+j.  ``solve_chart`` solves its primal, whose M_j = V_j X_j V_j^dagger is a
+measurement, and its dual, whose Hermitian witness Y rules every
+measurement out; each is re-checked, so solver error can only give neither.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import minimize
 
 from . import linalg
-from .errors import CountMismatch, InvalidChart, ShapeMismatch
+from .conditions import verify_antidistinguishing
+from .errors import CountMismatch, InvalidChart, NotNormalized, NotPsd, ShapeMismatch
 from .states import Povm, PureState, StateSet
 
 #: Frobenius tolerance for the two identity resolutions
 IDENTITY_TOL = 1e-8
 
-#: residual above which a sampled completion admits no coefficient solution
-RESIDUAL_TOL = 1e-7
+#: L-BFGS-B iteration caps of the primal and the dual solve
+PRIMAL_MAX_ITER = 1000
+DUAL_MAX_ITER = 1000
 
-DEFAULT_BUDGET = 10000
+#: the primal stops once ||sum_j M_j - I||_F is this small
+PRIMAL_TARGET = 1e-10
+
+#: eigenvalue margin delta the dual asks of every V_j^dagger Y V_j
+DUAL_MARGIN = 1e-6
 
 
 @dataclass
@@ -44,8 +55,6 @@ class Chart:
 
 def _check_shapes(chart: Chart) -> None:
     n, d = chart.states.n, chart.states.dim
-    if chart.alphas is None:
-        raise ShapeMismatch("chart carries no coefficients")
     if len(chart.completions) != n:
         raise ShapeMismatch("one completion column per state required")
     for col in chart.completions:
@@ -128,79 +137,111 @@ def chart_from_povm(states: StateSet, m: Povm, tol: float = linalg.DEFAULT_TOL) 
     return Chart(states, tuple(completions), alphas)
 
 
-def _herm_vec(m: np.ndarray) -> np.ndarray:
-    """Isometric real embedding of a Hermitian matrix (d^2 components)."""
-    d = m.shape[0]
-    iu, ju = np.triu_indices(d, 1)
-    off = m[iu, ju]
-    return np.concatenate(
-        [np.diag(m).real, np.sqrt(2.0) * off.real, np.sqrt(2.0) * off.imag]
-    )
+@dataclass
+class ChartSolution:
+    """A verified measurement, a witness passing ``verify_witness``, or neither,
+    with the primal ||sum_j M_j - I||_F and the dual's eps (None if it did not run)."""
+
+    povm: Povm | None
+    witness: np.ndarray | None
+    residual: float
+    eps: float | None = None
 
 
-def _random_completions(states: StateSet, rng: np.random.Generator, tol: float):
-    d = states.dim
-    cols = []
-    for s in states.states:
-        base = linalg.orthonormal_complement([s.vector], tol)
-        mixed = np.column_stack(base) @ linalg.haar_unitary(d - 1, rng)
-        cols.append(tuple(PureState(mixed[:, k]) for k in range(d - 1)))
-    return tuple(cols)
+def _complements(states: StateSet) -> np.ndarray:
+    """(n, d, d-1) stack of isometries V_j onto the complement of state j."""
+    comps = [linalg.orthonormal_complement([v]) for v in states.vectors()]
+    return np.array(comps).transpose(0, 2, 1)
 
 
-def _solve_alphas(states: StateSet, completions, tol: float) -> Chart | None:
-    """Nonnegative least squares for the resolution identity; None if the
-    residual stays above threshold or the response condition fails."""
-    n, d = states.n, states.dim
-    columns = [
-        _herm_vec(completions[j][k].projector) for j in range(n) for k in range(d - 1)
-    ]
-    a = np.column_stack(columns)
-    b = _herm_vec(np.eye(d, dtype=complex))
-    alpha, residual = nnls(a, b)
-    if residual > RESIDUAL_TOL:
-        return None
-    if alpha.max() > 1.0 + tol:
-        return None
-    chart = Chart(states, completions, np.clip(alpha, 0.0, 1.0).reshape(n, d - 1))
-    return chart if verify_chart(chart, tol) else None
+def _deficit(v: np.ndarray, y: np.ndarray) -> float:
+    """eps = max(0, -min_j lambda_min(V_j^dagger Y V_j))."""
+    low = np.linalg.eigvalsh(np.swapaxes(v.conj(), 1, 2) @ y @ v).min()
+    return max(0.0, -float(low))
 
 
-def search_chart(
-    states: StateSet,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    tol: float = linalg.DEFAULT_TOL,
-    initial: Chart | None = None,
-) -> Chart | None:
-    """Randomized search for a verifying chart.
+def verify_witness(states: StateSet, witness, tol: float = linalg.DEFAULT_TOL) -> bool:
+    """Check that a Hermitian Y rules out every excluding measurement.
 
-    Every trial samples a fresh orthonormal completion of each state
-    (a Haar-random rotation of a fixed completion of its orthocomplement)
-    and solves for nonnegative coefficients.  ``initial`` is tried first:
-    verified directly if it carries coefficients, otherwise its completions
-    seed a coefficient solve.  Trials are reproducible per (seed, index).
-
-    Returns the first verifying chart, or None.  None is not a negative
-    verdict: the search can miss charts of antidistinguishable sets.
+    Any such measurement has M_j = V_j X_j V_j^dagger with X_j >= 0 and
+    sum_j tr X_j = tr I = d, so tr Y = sum_j tr(X_j V_j^dagger Y V_j)
+    >= -eps d.  Hence tr Y < -d eps - tol leaves no measurement.
     """
-    states.require_pure("the chart search")
+    d = states.dim
+    y = np.asarray(witness, dtype=complex)
+    if d < 2 or y.shape != (d, d) or not linalg.is_hermitian(y, tol):
+        return False
+    y = (y + linalg.adjoint(y)) / 2.0
+    return bool(np.trace(y).real < -d * _deficit(_complements(states), y) - tol)
+
+
+def _primal(v: np.ndarray) -> np.ndarray:
+    """Effect stack V_j B_j B_j^dagger V_j^dagger minimising ||sum_j M_j - I||_F^2
+    (gradient 4 V_j^dagger (sum M - I) V_j B_j), from B_j = sqrt(d/(n(d-1))) I."""
+    n, d, k = v.shape
+    vh = np.swapaxes(v.conj(), 1, 2)
+
+    def objective(x):
+        vb = v @ x.view(complex).reshape(n, k, k)
+        r = np.einsum("jak,jbk->ab", vb, vb.conj()) - np.eye(d)
+        return float(np.vdot(r, r).real), (4.0 * vh @ r @ vb).reshape(-1).view(float)
+
+    def stop(intermediate_result):
+        if intermediate_result.fun <= PRIMAL_TARGET**2:
+            raise StopIteration
+
+    start = np.tile(np.sqrt(d / (n * k)) * np.eye(k, dtype=complex), (n, 1, 1))
+    res = minimize(objective, start.reshape(-1).view(float), jac=True, method="L-BFGS-B",
+                   callback=stop, options={"maxiter": PRIMAL_MAX_ITER, "ftol": 0.0, "gtol": 0.0})
+    vb = v @ res.x.view(complex).reshape(n, k, k)
+    return np.einsum("jak,jbk->jab", vb, vb.conj())
+
+
+def _dual(v: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Hermitian Y with tr Y = -1 minimising
+    sum_j sum_i min(0, lambda_i(V_j^dagger Y V_j) - delta)^2."""
+    d = v.shape[1]
+    eye = np.eye(d)
+    vh = np.swapaxes(v.conj(), 1, 2)
+
+    def hermitian(x):
+        a = x.view(complex).reshape(d, d)
+        h = (a + linalg.adjoint(a)) / 2.0
+        return h - (np.trace(h).real + 1.0) / d * eye
+
+    def objective(x):
+        lam, u = np.linalg.eigh(vh @ hermitian(x) @ v)
+        short = np.minimum(0.0, lam - DUAL_MARGIN)
+        vu = v @ u
+        g = np.einsum("jak,jk,jbk->ab", vu, 2.0 * short, vu.conj())
+        return float((short**2).sum()), (g - np.trace(g).real / d * eye).reshape(-1).view(float)
+
+    res = minimize(objective, np.asarray(start, dtype=complex).reshape(-1).view(float), jac=True,
+                   method="L-BFGS-B", options={"maxiter": DUAL_MAX_ITER, "ftol": 0.0, "gtol": 0.0})
+    return hermitian(res.x)
+
+
+def solve_chart(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> ChartSolution:
+    """Decide whether an excluding measurement exists, with evidence either way.
+
+    The primal's measurement is returned only if ``verify_antidistinguishing``
+    accepts it.  Otherwise the dual starts from the primal residual R (a
+    dual solution when the primal optimum is infeasible, scaled to trace -1),
+    and its Y is returned only if ``verify_witness`` accepts it.
+    """
+    states.require_pure("the chart solve")
     if states.dim < 2:
         raise ShapeMismatch("charts need dimension >= 2")
-    if initial is not None:
-        if initial.states.n != states.n or initial.states.dim != states.dim or any(
-            linalg.frobenius(a.projector - b.projector) > 1e-7
-            for a, b in zip(initial.states.states, states.states)
-        ):
-            raise ShapeMismatch("seed chart describes a different state set")
-        if initial.alphas is not None and verify_chart(initial, tol):
-            return initial
-        seeded = _solve_alphas(states, initial.completions, tol)
-        if seeded is not None:
-            return seeded
-    for trial in range(budget):
-        rng = np.random.default_rng((seed, trial))
-        chart = _solve_alphas(states, _random_completions(states, rng, tol), tol)
-        if chart is not None:
-            return chart
-    return None
+    d = states.dim
+    v = _complements(states)
+    effects = _primal(v)
+    r = effects.sum(axis=0) - np.eye(d)
+    residual = linalg.frobenius(r)
+    with suppress(NotNormalized, NotPsd):
+        povm = Povm(list(effects), tol)
+        if verify_antidistinguishing(states, povm, tol):
+            return ChartSolution(povm, None, residual)
+    trace = float(np.trace(r).real)
+    y = _dual(v, r / -trace if trace < 0 else -np.eye(d) / d)
+    found = verify_witness(states, y, tol)
+    return ChartSolution(None, y if found else None, residual, _deficit(v, y))

@@ -41,16 +41,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def cmd_check(args) -> int:
     states, _ = io.load_state_set(args.states, args.tolerance)
-    seeded = None
-    if args.seed_chart:
-        seeded = io.load_chart(args.seed_chart, states, args.tolerance)
-    cert = pipeline.decide(
-        states,
-        tol=args.tolerance,
-        budget=args.budget,
-        seed=args.seed,
-        seeded_chart=seeded,
-    )
+    cert = pipeline.decide(states, tol=args.tolerance)
     _emit(io.certificate_to_doc(cert), args.output)
     return _VERDICT_EXIT[cert.verdict]
 
@@ -184,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the certificate pipeline on a state set")
     p.add_argument("states", help="state-set JSON file")
     common(p)
-    p.add_argument("--budget", type=int, default=10000, help="chart search trial budget")
-    p.add_argument("--seed", type=int, default=0, help="seed for the chart search")
-    p.add_argument("--seed-chart", help="chart JSON file tried before random search")
     p.add_argument("-o", "--output", help="write the certificate here instead of stdout")
     p.set_defaults(func=cmd_check)
 

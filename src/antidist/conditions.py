@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CountMismatch, DimensionOne, OverlappingSets, RankTooSmall, WrongDimension
-from .states import DUPLICATE_TOL, DensityMatrix, Povm, PureState, StateSet
+from .states import DensityMatrix, Povm, PureState, StateSet, same_state
 
 #: Frobenius tolerance for the identity "sum of weighted projectors = R"
 SUM_RESIDUAL_TOL = 1e-8
@@ -164,10 +164,8 @@ def union_povm(
     both measurements."""
     if a.dim != b.dim:
         raise WrongDimension("sets to unite must share a dimension")
-    for sa in a.states:
-        for sb in b.states:
-            if linalg.frobenius(sa.density() - sb.density()) <= DUPLICATE_TOL:
-                raise OverlappingSets("the two sets share a state")
+    if any(same_state(sa, sb) for sa in a.states for sb in b.states):
+        raise OverlappingSets("the two sets share a state")
     if not verify_antidistinguishing(a, ma, tol) or not verify_antidistinguishing(b, mb, tol):
         raise ValueError("both input measurements must exclude their sets")
     joined = StateSet(a.states + b.states, tol)
@@ -206,7 +204,7 @@ def two_n_construction(
     merged_effects: list[np.ndarray] = []
     for state, effect in entries:
         for k, existing in enumerate(merged_states):
-            if linalg.frobenius(state.density() - existing.density()) <= DUPLICATE_TOL:
+            if same_state(state, existing):
                 merged_effects[k] = merged_effects[k] + effect
                 break
         else:

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import conditions, linalg, qubit
 from .errors import FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
-from .states import DUPLICATE_TOL, Povm, PureState, StateSet
+from .states import Povm, PureState, StateSet, same_state
 
-#: distance within which two group elements (or orbit members) coincide
+#: distance within which two group elements coincide
 CLOSURE_TOL = 1e-7
 
 #: Frobenius tolerance for "orbit sum = c * span projector"
@@ -103,9 +103,7 @@ def orbit(rep: GroupRep, base: PureState, tol: float = linalg.DEFAULT_TOL) -> Or
     members: list[PureState] = []
     for u in rep.elements:
         cand = PureState(u @ base.vector, tol)
-        if all(
-            linalg.frobenius(cand.projector - m.projector) > DUPLICATE_TOL for m in members
-        ):
+        if not any(same_state(cand, m) for m in members):
             members.append(cand)
     if len(members) < 2:
         raise FixedPoint("the base state is fixed by every group element")

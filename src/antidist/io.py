@@ -2,7 +2,7 @@
 
 Complex numbers serialize as [re, im] pairs and matrices as row-major
 nested lists.  Every float is rounded to 12 significant digits before
-writing, so identical inputs (and seeds) produce byte-identical files.
+writing, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import numpy as np
 
 from . import __version__
-from .chart import Chart
 from .errors import AntidistError, FileFormatError
 from .group import GroupRep
 from .states import Certificate, Method, Povm, PureState, StateSet, Verdict
@@ -75,19 +74,25 @@ def dumps_doc(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _entries(path: str, doc, key: str) -> tuple[int, list, list | None]:
+    """The document's dim, its non-empty list ``doc[key]``, and its labels list if any."""
+    try:
+        dim, raw, labels = int(doc["dim"]), doc[key], doc.get("labels")
+    except (TypeError, KeyError) as exc:
+        raise FileFormatError(f"{path}: missing field {exc}") from exc
+    if not isinstance(raw, list) or not raw:
+        raise FileFormatError(f"{path}: '{key}' must be a non-empty list")
+    if labels is not None and not isinstance(labels, list):
+        raise FileFormatError(f"{path}: 'labels' must be a list")
+    return dim, raw, labels
+
+
 def load_state_set(path: str, tol: float = 1e-9) -> tuple[StateSet, list[str]]:
     """Read {dim, states: [vector...], labels?}; vectors are [re, im] pairs."""
     doc = _load_json(path)
     if isinstance(doc, dict) and "state_set" in doc:
         doc = doc["state_set"]
-    try:
-        dim = int(doc["dim"])
-        raw = doc["states"]
-        labels = doc.get("labels")
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"{path}: missing field {exc}") from exc
-    if not isinstance(raw, list) or not raw:
-        raise FileFormatError(f"{path}: 'states' must be a non-empty list")
+    dim, raw, labels = _entries(path, doc, "states")
     states = []
     for k, entry in enumerate(raw):
         vec = wire_to_vector(entry)
@@ -99,8 +104,6 @@ def load_state_set(path: str, tol: float = 1e-9) -> tuple[StateSet, list[str]]:
             raise FileFormatError(f"{path}: state {k}: {exc}") from exc
     if labels is None:
         labels = [f"s{k}" for k in range(len(states))]
-    if not isinstance(labels, list):
-        raise FileFormatError(f"{path}: 'labels' must be a list")
     if len(labels) != len(states):
         raise FileFormatError(f"{path}: one label per state required")
     try:
@@ -119,6 +122,15 @@ def state_set_to_doc(states: StateSet, labels=None) -> dict:
     }
 
 
+def _square_matrices(path: str, raw: list, dim: int, what: str) -> list[np.ndarray]:
+    """The entries of ``raw`` as dim x dim matrices, each named ``what``."""
+    mats = [wire_to_matrix(rows) for rows in raw]
+    for k, m in enumerate(mats):
+        if m.shape != (dim, dim):
+            raise FileFormatError(f"{path}: {what} {k} is not {dim}x{dim}")
+    return mats
+
+
 def load_povm(path: str, tol: float = 1e-9) -> Povm:
     """Read {dim, effects: [matrix...]}; certificate files are accepted too."""
     doc = _load_json(path)
@@ -129,17 +141,8 @@ def load_povm(path: str, tol: float = 1e-9) -> Povm:
             raise FileFormatError(
                 f"{path}: certificate carries no POVM (verdict {doc.get('verdict')})"
             )
-    try:
-        dim = int(doc["dim"])
-        raw = doc["effects"]
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"{path}: missing field {exc}") from exc
-    effects = []
-    for k, rows in enumerate(raw):
-        m = wire_to_matrix(rows)
-        if m.shape != (dim, dim):
-            raise FileFormatError(f"{path}: effect {k} is not {dim}x{dim}")
-        effects.append(m)
+    dim, raw, _ = _entries(path, doc, "effects")
+    effects = _square_matrices(path, raw, dim, "effect")
     try:
         return Povm(effects, tol)
     except (AntidistError, ValueError) as exc:
@@ -153,43 +156,27 @@ def povm_to_doc(m: Povm) -> dict:
 def load_group(path: str, tol: float = 1e-9) -> GroupRep:
     """Read {dim, elements: [matrix...], labels?}."""
     doc = _load_json(path)
-    try:
-        dim = int(doc["dim"])
-        raw = doc["elements"]
-        labels = doc.get("labels")
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"{path}: missing field {exc}") from exc
-    elements = []
-    for k, rows in enumerate(raw):
-        m = wire_to_matrix(rows)
-        if m.shape != (dim, dim):
-            raise FileFormatError(f"{path}: element {k} is not {dim}x{dim}")
-        elements.append(m)
+    dim, raw, labels = _entries(path, doc, "elements")
+    elements = _square_matrices(path, raw, dim, "element")
     try:
         return GroupRep(elements, labels, tol)
     except (AntidistError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def load_chart(path: str, states: StateSet, tol: float = 1e-9) -> Chart:
-    """Read {completions: [[vector...]...], alphas?} as a seed chart."""
-    doc = _load_json(path)
-    try:
-        raw_cols = doc["completions"]
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"{path}: missing field {exc}") from exc
-    if len(raw_cols) != states.n:
-        raise FileFormatError(f"{path}: one completion column per state required")
-    completions = []
-    for col in raw_cols:
-        try:
-            completions.append(tuple(PureState(wire_to_vector(v), tol) for v in col))
-        except AntidistError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
-    alphas = doc.get("alphas")
-    if alphas is not None:
-        alphas = np.asarray(alphas, dtype=float)
-    return Chart(states, tuple(completions), alphas)
+def _real_vector(entries) -> np.ndarray:
+    return np.asarray(entries, dtype=float)
+
+
+#: optional certificate evidence: key (also the Certificate field), writer, reader
+_EVIDENCE = (
+    ("weights", real_vector_to_wire, _real_vector),
+    ("projector_r", matrix_to_wire, wire_to_matrix),
+    ("bloch_weights", real_vector_to_wire, _real_vector),
+    ("added_state", vector_to_wire, wire_to_vector),
+    ("added_bloch", real_vector_to_wire, _real_vector),
+    ("witness", matrix_to_wire, wire_to_matrix),
+)
 
 
 def certificate_to_doc(cert: Certificate) -> dict:
@@ -199,18 +186,11 @@ def certificate_to_doc(cert: Certificate) -> dict:
         "notes": cert.notes,
         "tool_version": __version__,
     }
-    if cert.weights is not None:
-        doc["weights"] = real_vector_to_wire(cert.weights)
-    if cert.projector_r is not None:
-        doc["projector_r"] = matrix_to_wire(cert.projector_r)
     if cert.povm is not None:
         doc["povm"] = povm_to_doc(cert.povm)
-    if cert.bloch_weights is not None:
-        doc["bloch_weights"] = real_vector_to_wire(cert.bloch_weights)
-    if cert.added_state is not None:
-        doc["added_state"] = vector_to_wire(cert.added_state)
-    if cert.added_bloch is not None:
-        doc["added_bloch"] = real_vector_to_wire(cert.added_bloch)
+    for key, write, _ in _EVIDENCE:
+        if getattr(cert, key) is not None:
+            doc[key] = write(getattr(cert, key))
     return doc
 
 
@@ -229,16 +209,5 @@ def certificate_from_doc(doc: dict, tol: float = 1e-9) -> Certificate:
     if doc.get("povm") is not None:
         effects = [wire_to_matrix(rows) for rows in doc["povm"]["effects"]]
         povm = Povm(effects, tol)
-    def _vec(key):
-        return np.asarray(doc[key], dtype=float) if doc.get(key) is not None else None
-    return Certificate(
-        verdict=verdict,
-        method=method,
-        weights=_vec("weights"),
-        projector_r=wire_to_matrix(doc["projector_r"]) if doc.get("projector_r") is not None else None,
-        povm=povm,
-        bloch_weights=_vec("bloch_weights"),
-        added_state=wire_to_vector(doc["added_state"]) if doc.get("added_state") is not None else None,
-        added_bloch=_vec("added_bloch"),
-        notes=str(doc.get("notes", "")),
-    )
+    evidence = {key: read(doc[key]) for key, _, read in _EVIDENCE if doc.get(key) is not None}
+    return Certificate(verdict, method, povm=povm, notes=str(doc.get("notes", "")), **evidence)

@@ -119,8 +119,3 @@ def orthonormal_columns(a: np.ndarray, complete: bool = False) -> np.ndarray:
     q[:, : diag.size] *= np.exp(1j * np.angle(diag))
     return q
 
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary (Gram-Schmidt of a Gaussian matrix)."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return orthonormal_columns(z)

@@ -1,4 +1,4 @@
-"""Certificate pipeline: cheap exact tests first, heuristic search last.
+"""Certificate pipeline: cheap exact tests first, the chart solve last.
 
 Order of attack for a pure state set:
 
@@ -7,8 +7,9 @@ Order of attack for a pure state set:
 3. the pairwise-fidelity bound (no on violation),
 4. Gram weights plus the sum-equals-projection test (yes with the
    explicit measurement),
-5. randomized chart search within a trial budget (yes when found),
-6. otherwise unknown.
+5. the chart solve: yes with its verified measurement, or no with a
+   Hermitian witness that passes the witness inequality,
+6. otherwise unknown, noting the best primal residual and the dual's eps.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from .errors import SingularSystem
 from .states import Certificate, Method, StateSet, Verdict
 
 
-def decide(
-    states: StateSet,
-    tol: float = linalg.DEFAULT_TOL,
-    budget: int = chart_mod.DEFAULT_BUDGET,
-    seed: int = 0,
-    seeded_chart: chart_mod.Chart | None = None,
-) -> Certificate:
+def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
     """Run the full certificate pipeline on a pure state set."""
     states.require_pure("the decision pipeline")
     n = states.n
@@ -83,16 +78,25 @@ def decide(
                 notes="weighted projector sum equals the span projector",
             )
 
-    found = chart_mod.search_chart(states, budget, seed=seed, tol=tol, initial=seeded_chart)
-    if found is not None:
+    solved = chart_mod.solve_chart(states, tol)
+    if solved.povm is not None:
         return Certificate(
             Verdict.YES,
             Method.CHART,
-            povm=chart_mod.povm_from_chart(found, tol),
-            notes="verifying orthonormal-completion chart found",
+            povm=solved.povm,
+            notes="orthonormal-completion chart solved; its measurement verifies",
         )
-
+    if solved.witness is not None:
+        return Certificate(
+            Verdict.NO,
+            Method.CHART_WITNESS,
+            witness=solved.witness,
+            notes=f"witness Y: tr Y = -1 < -d*eps - tol with eps = {solved.eps:.3e}",
+        )
     return Certificate(
         Verdict.UNKNOWN,
-        notes="no certificate found within the search budget; absence is not a refutation",
+        notes=(
+            f"chart solve inconclusive: best primal residual {solved.residual:.3e}, "
+            f"dual eps {solved.eps:.3e}; absence is not a refutation"
+        ),
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import WrongDimension
-from .states import DUPLICATE_TOL, Povm, PureState, StateSet
+from .states import Povm, PureState, StateSet, same_state
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -141,9 +141,8 @@ def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
         raise RuntimeError("zero Bloch sum contradicts the infeasible verdict")
     direction = -total / nrm
     added = state_from_bloch(direction)
-    for s in states.states:
-        if linalg.frobenius(added.projector - s.projector) <= DUPLICATE_TOL:
-            raise RuntimeError("completion coincides with a member; set should be feasible")
+    if any(same_state(added, s) for s in states.states):
+        raise RuntimeError("completion coincides with a member; set should be feasible")
     weights = np.full(states.n + 1, 1.0 / nrm)
     weights[-1] = 1.0
     weights *= 2.0 / weights.sum()

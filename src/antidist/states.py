@@ -43,6 +43,7 @@ class Method(str, Enum):
     SUM_PROJECTION = "SumProjection"
     QUBIT_BLOCH = "QubitBloch"
     CHART = "Chart"
+    CHART_WITNESS = "ChartWitness"
     GROUP_ORBIT = "GroupOrbit"
     FIDELITY_VIOLATION = "FidelityViolation"
     UNION = "Union"
@@ -107,6 +108,11 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def same_state(a, b) -> bool:
+    """True when two states coincide as operators, within ``DUPLICATE_TOL``."""
+    return linalg.frobenius(a.density() - b.density()) <= DUPLICATE_TOL
+
+
 class Povm:
     """Finite list of positive effects summing to the identity."""
 
@@ -149,10 +155,9 @@ class StateSet:
         d = members[0].dim
         if any(s.dim != d for s in members):
             raise ValueError("all states must share a dimension")
-        mats = [s.density() for s in members]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if linalg.frobenius(mats[i] - mats[j]) <= DUPLICATE_TOL:
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                if same_state(members[i], members[j]):
                     raise DuplicateState(f"states {i} and {j} coincide up to global phase")
         self.dim = d
         self.states = members
@@ -191,4 +196,5 @@ class Certificate:
     bloch_weights: np.ndarray | None = None
     added_state: np.ndarray | None = None
     added_bloch: np.ndarray | None = None
+    witness: np.ndarray | None = None
     notes: str = ""

@@ -29,6 +29,7 @@ from antidist import (
     state_from_bloch,
     tetrahedral_state,
 )
+from antidist.linalg import orthonormal_columns
 
 S5 = np.sqrt(5.0)
 
@@ -122,9 +123,13 @@ def random_qubit_set(n: int, rng: np.random.Generator) -> StateSet:
             continue
 
 
-def random_orthonormal_subset(d: int, n: int, rng: np.random.Generator) -> StateSet:
-    from antidist.linalg import haar_unitary
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed random unitary (Gram-Schmidt of a Gaussian matrix)."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return orthonormal_columns(z)
 
+
+def random_orthonormal_subset(d: int, n: int, rng: np.random.Generator) -> StateSet:
     u = haar_unitary(d, rng)
     return StateSet([PureState(u[:, k]) for k in range(n)])
 
@@ -196,6 +201,20 @@ def linprog_strictly_feasible(bloch: np.ndarray, threshold: float = 1e-9) -> boo
     bounds = [(0, None)] * n + [(None, 2)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     return bool(res.status == 0 and res.x is not None and res.x[-1] > threshold)
+
+
+def cfs_margin(states: StateSet) -> float:
+    """Signed Caves-Fuchs-Schack margin of a pure triple, the closed-form
+    oracle for three states: > 0 iff antidistinguishable.
+
+    With x the three squared overlaps and s their sum, the triple is
+    antidistinguishable iff s < 1 and (s - 1)^2 >= 4 x1 x2 x3.
+    """
+    v = np.array(states.vectors())
+    g = np.abs(v.conj() @ v.T) ** 2
+    x = np.array([g[0, 1], g[0, 2], g[1, 2]])
+    s = x.sum()
+    return float(min(1.0 - s, (s - 1.0) ** 2 - 4.0 * x.prod()))
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

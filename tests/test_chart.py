@@ -9,12 +9,14 @@ from antidist import (
     chart_from_povm,
     check_sum_condition,
     povm_from_chart,
-    search_chart,
+    qubit_decide,
+    solve_chart,
     solve_weights,
     state_from_bloch,
     swap_povm,
     verify_antidistinguishing,
     verify_chart,
+    verify_witness,
 )
 from antidist.errors import InvalidChart, ShapeMismatch
 
@@ -81,51 +83,51 @@ def test_chart_shape_mismatch():
 
 def test_search_finds_chart_for_orthonormal_basis():
     basis = StateSet([PureState(np.eye(3)[k]) for k in range(3)])
-    chart = search_chart(basis, budget=5, seed=1)
-    assert chart is not None
-    assert verify_chart(chart)
-    assert verify_antidistinguishing(basis, povm_from_chart(chart))
+    solved = solve_chart(basis)
+    assert solved.povm is not None and solved.witness is None
+    assert verify_antidistinguishing(basis, solved.povm)
+    assert verify_chart(chart_from_povm(basis, solved.povm))
 
 
 def test_search_finds_chart_for_trine():
-    chart = search_chart(helpers.trine(), budget=5, seed=1)
-    assert chart is not None
-    assert verify_antidistinguishing(helpers.trine(), povm_from_chart(chart))
+    solved = solve_chart(helpers.trine())
+    assert solved.povm is not None
+    assert verify_antidistinguishing(helpers.trine(), solved.povm)
+
+
+def nonexcludable_pair() -> StateSet:
+    """Two non-orthogonal states in d = 3: no excluding measurement exists."""
+    return StateSet([PureState([1, 0, 0]), PureState(np.array([1, 1, 0]) / np.sqrt(2))])
 
 
 def test_search_never_finds_for_nonexcludable_pair():
-    pair = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((1, 0, 0))])
-    assert search_chart(pair, budget=300, seed=2) is None
+    qubit_pair = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((1, 0, 0))])
+    assert solve_chart(qubit_pair).povm is None
+    pair = nonexcludable_pair()
+    solved = solve_chart(pair)
+    assert solved.povm is None
+    assert solved.witness is not None
+    assert verify_witness(pair, solved.witness)
+    assert np.isclose(np.trace(solved.witness).real, -1.0)
 
 
-def test_search_accepts_seeded_chart():
-    found = search_chart(helpers.chart_triple(), budget=0, initial=frozen_chart())
-    assert found is not None
-    assert verify_chart(found)
-
-
-def test_search_with_seeded_completions_only():
-    seed_chart = Chart(helpers.chart_triple(), helpers.chart_triple_completions(), None)
-    found = search_chart(helpers.chart_triple(), budget=0, initial=seed_chart)
-    assert found is not None
-    assert verify_chart(found)
-    assert verify_antidistinguishing(helpers.chart_triple(), povm_from_chart(found))
-
-
-def test_search_rejects_seed_for_other_states():
-    with pytest.raises(ShapeMismatch):
-        search_chart(helpers.sum_condition_triple(), budget=0, initial=frozen_chart())
+def test_witness_check_rejects_bad_witnesses():
+    pair = nonexcludable_pair()
+    y = solve_chart(pair).witness
+    assert not verify_witness(pair, y + 0.01j * np.diag([1, 2, 3]))  # not Hermitian
+    assert not verify_witness(pair, y[:2, :2])
+    assert not verify_witness(pair, -np.eye(3) / 3)  # negative on every complement
+    # an excludable set admits no witness at all
+    assert not verify_witness(helpers.chart_triple(), y)
 
 
 def test_search_is_deterministic_per_seed():
-    basis = StateSet([PureState(np.eye(3)[k]) for k in range(3)])
-    a = search_chart(basis, budget=5, seed=7)
-    b = search_chart(basis, budget=5, seed=7)
-    assert a is not None and b is not None
-    assert np.allclose(a.alphas, b.alphas)
-    for col_a, col_b in zip(a.completions, b.completions):
-        for sa, sb in zip(col_a, col_b):
-            assert np.allclose(sa.projector, sb.projector)
+    a, b = solve_chart(helpers.chart_triple()), solve_chart(helpers.chart_triple())
+    assert a.residual == b.residual
+    for ea, eb in zip(a.povm.effects, b.povm.effects):
+        assert np.array_equal(ea, eb)
+    pair = nonexcludable_pair()
+    assert np.array_equal(solve_chart(pair).witness, solve_chart(pair).witness)
 
 
 def test_roundtrip_randomized():
@@ -149,13 +151,17 @@ def test_roundtrip_randomized():
 
 
 def test_search_results_always_verify():
+    # the solve is exact on qubit sets: YES exactly when the Bloch weights exist
     rng = np.random.default_rng(107)
     found = 0
     for _ in range(20):
         sset = helpers.random_qubit_set(int(rng.integers(2, 6)), rng)
-        chart = search_chart(sset, budget=3, seed=int(rng.integers(0, 1000)))
-        if chart is not None:
-            assert verify_chart(chart)
-            assert verify_antidistinguishing(sset, povm_from_chart(chart))
+        solved = solve_chart(sset)
+        assert (solved.povm is not None) == qubit_decide(sset).feasible
+        if solved.povm is not None:
+            assert verify_antidistinguishing(sset, solved.povm)
+            assert verify_chart(chart_from_povm(sset, solved.povm))
             found += 1
-    assert found > 0  # feasible qubit sets admit the orthocomplement chart
+        else:
+            assert verify_witness(sset, solved.witness)
+    assert found > 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antidist import cli, io
-from antidist import verify_antidistinguishing
+from antidist import StateSet, fidelity_bound_check, verify_antidistinguishing, verify_witness
 
 import helpers
 
@@ -55,25 +55,61 @@ def test_check_qubit_refutation(tmp_path, capsys):
 
 
 def test_check_with_seeded_chart(chart_triple_file, tmp_path, capsys):
-    chart_doc = {
-        "completions": [
-            [io.vector_to_wire(s.vector) for s in col]
-            for col in helpers.chart_triple_completions()
-        ],
-        "alphas": helpers.CHART_TRIPLE_ALPHAS.tolist(),
-    }
-    chart_path = write_json(tmp_path / "seed.json", chart_doc)
-    code, out, _ = run(
-        capsys, "check", chart_triple_file, "--seed-chart", chart_path, "--budget", "10"
-    )
+    # check takes no seed chart; the chart solve decides the chart triple alone
+    seed_path = write_json(tmp_path / "seed.json", {"completions": []})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", chart_triple_file, "--seed-chart", seed_path])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "check", chart_triple_file)
     assert code == 0
     assert json.loads(out)["method"] == "Chart"
 
 
-def test_check_unknown_without_seed(chart_triple_file, capsys):
-    code, out, _ = run(capsys, "check", chart_triple_file, "--budget", "25")
+@pytest.mark.parametrize("option", ["--budget", "--seed"])
+def test_check_search_options_removed(chart_triple_file, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", chart_triple_file, option, "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_unknown_without_seed(chart_triple_file, capsys, monkeypatch):
+    # exit 3 remains for sets that neither side of the chart solve settles;
+    # with one iteration per side the chart triple is such a set
+    monkeypatch.setattr(cli.pipeline.chart_mod, "PRIMAL_MAX_ITER", 1)
+    monkeypatch.setattr(cli.pipeline.chart_mod, "DUAL_MAX_ITER", 1)
+    code, out, _ = run(capsys, "check", chart_triple_file)
     assert code == 3
-    assert json.loads(out)["verdict"] == "Unknown"
+    doc = json.loads(out)
+    assert doc["verdict"] == "Unknown"
+    assert "best primal residual" in doc["notes"]
+
+
+def cfs_no_triple():
+    rng = np.random.default_rng(17)
+    while True:
+        triple = StateSet([helpers.random_pure(3, rng) for _ in range(3)])
+        if helpers.cfs_margin(triple) < -0.05 and not fidelity_bound_check(triple).violated:
+            return triple
+
+
+def test_witness_roundtrip(tmp_path, capsys):
+    triple = cfs_no_triple()
+    states_path = write_json(tmp_path / "no.json", state_doc(triple))
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "check", states_path, "-o", str(cert_path))
+    assert code == 1
+    doc = json.loads(cert_path.read_text())
+    assert doc["method"] == "ChartWitness"
+    # the check needs only the two files
+    loaded, _ = io.load_state_set(states_path)
+    cert = io.certificate_from_doc(doc)
+    assert cert.witness is not None
+    assert verify_witness(loaded, cert.witness)
+    tampered = cert.witness + (2.0 / loaded.dim) * np.eye(loaded.dim)
+    assert np.trace(tampered).real > 0
+    assert not verify_witness(loaded, tampered)
 
 
 def test_check_parse_error(tmp_path, capsys):
@@ -299,8 +335,23 @@ def test_bloch_wrong_dimension(triple_file, capsys):
 
 
 def test_deterministic_output_under_seed(chart_triple_file, tmp_path, capsys):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    run(capsys, "check", chart_triple_file, "--budget", "10", "--seed", "5", "-o", str(a))
-    run(capsys, "check", chart_triple_file, "--budget", "10", "--seed", "5", "-o", str(b))
-    assert a.read_bytes() == b.read_bytes()
+    # the chart solve is deterministic, for YES and NO alike
+    no_file = write_json(tmp_path / "no.json", state_doc(cfs_no_triple()))
+    for states in (chart_triple_file, no_file):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        run(capsys, "check", states, "-o", str(a))
+        run(capsys, "check", states, "-o", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_group_and_povm_files_need_matrix_lists(tmp_path, triple_file, capsys):
+    group_path = write_json(tmp_path / "g.json", {"dim": 2, "elements": 5})
+    code, out, err = run(capsys, "orbit", "--group", group_path, "--base", "[[1, 0], [0, 0]]")
+    assert code == 2 and out == ""
+    assert "internal error" not in err and "'elements' must be a non-empty list" in err
+
+    povm_path = write_json(tmp_path / "p.json", {"dim": 3, "effects": 5})
+    code, out, err = run(capsys, "verify", triple_file, povm_path)
+    assert code == 2 and out == ""
+    assert "internal error" not in err and "'effects' must be a non-empty list" in err

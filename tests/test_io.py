@@ -116,29 +116,21 @@ def test_group_rejects_non_closed(tmp_path):
         io.load_group(path)
 
 
-def test_chart_loader(tmp_path):
-    triple = helpers.chart_triple()
-    doc = {
-        "completions": [
-            [io.vector_to_wire(s.vector) for s in col]
-            for col in helpers.chart_triple_completions()
-        ],
-        "alphas": helpers.CHART_TRIPLE_ALPHAS.tolist(),
-    }
-    path = write(tmp_path, "chart.json", doc)
-    chart = io.load_chart(path, triple)
-    from antidist import verify_chart
-
-    assert verify_chart(chart)
-
-    doc.pop("alphas")
-    path = write(tmp_path, "chart2.json", doc)
-    chart = io.load_chart(path, triple)
-    assert chart.alphas is None
+def test_group_labels_must_be_a_list(tmp_path):
+    rep = helpers.cached_cyclic(3)
+    doc = {"dim": 3, "elements": [io.matrix_to_wire(u) for u in rep.elements], "labels": "abc"}
+    with pytest.raises(FileFormatError, match="labels"):
+        io.load_group(write(tmp_path, "g.json", doc))
 
 
-def test_chart_loader_column_count(tmp_path):
-    doc = {"completions": [[io.vector_to_wire(np.array([0, 0, 1.0]))]]}
-    path = write(tmp_path, "chart.json", doc)
-    with pytest.raises(FileFormatError):
-        io.load_chart(path, helpers.chart_triple())
+@pytest.mark.parametrize("raw", [5, [], "abc", None])
+def test_group_elements_must_be_a_non_empty_list(tmp_path, raw):
+    with pytest.raises(FileFormatError, match="elements"):
+        io.load_group(write(tmp_path, "g.json", {"dim": 2, "elements": raw}))
+
+
+@pytest.mark.parametrize("raw", [5, [], "abc", None])
+def test_povm_effects_must_be_a_non_empty_list(tmp_path, raw):
+    with pytest.raises(FileFormatError, match="effects"):
+        io.load_povm(write(tmp_path, "p.json", {"dim": 2, "effects": raw}))
+

@@ -213,12 +213,12 @@ def test_orthonormal_complement():
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(51)
     for d in (1, 2, 3, 5):
-        u = linalg.haar_unitary(d, rng)
+        u = helpers.haar_unitary(d, rng)
         assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-10
 
     # Gram-Schmidt convention: Z = U R with R upper triangular, diag(R) > 0
     for d in (1, 2, 3, 5):
-        u = linalg.haar_unitary(d, np.random.default_rng(d))
+        u = helpers.haar_unitary(d, np.random.default_rng(d))
         rng = np.random.default_rng(d)
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         r = u.conj().T @ z

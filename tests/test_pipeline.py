@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from antidist import (
-    Chart,
     DensityMatrix,
     PureState,
     StateSet,
+    chart,
+    chart_from_povm,
     decide,
     is_distinguishable,
     qubit_decide,
     state_from_bloch,
     verify_antidistinguishing,
+    verify_chart,
+    verify_witness,
 )
 from antidist.errors import MixedStateInput
 from antidist.states import Method, Verdict
@@ -58,16 +61,35 @@ def test_sum_projection_route():
     assert cert.projector_r is not None
 
 
-def test_chart_route_with_seed_and_unknown_without():
+def test_chart_route_with_seed_and_unknown_without(monkeypatch):
+    # the paper's chart triple fails the sum condition; the chart solve decides it
     triple = helpers.chart_triple()
-    seeded = Chart(triple, helpers.chart_triple_completions(), helpers.CHART_TRIPLE_ALPHAS)
-    cert = decide(triple, budget=10, seeded_chart=seeded)
+    cert = decide(triple)
     assert cert.verdict is Verdict.YES and cert.method is Method.CHART
     assert verify_antidistinguishing(triple, cert.povm)
+    assert verify_chart(chart_from_povm(triple, cert.povm))
 
-    cert = decide(triple, budget=20)
+    # without solver iterations neither side passes its check
+    monkeypatch.setattr(chart, "PRIMAL_MAX_ITER", 1)
+    monkeypatch.setattr(chart, "DUAL_MAX_ITER", 1)
+    cert = decide(triple)
     assert cert.verdict is Verdict.UNKNOWN
     assert cert.method is None
+    assert "best primal residual" in cert.notes and "dual eps" in cert.notes
+
+
+def test_decide_agrees_with_cfs_on_random_triples():
+    rng = np.random.default_rng(131)
+    for _ in range(200):
+        triple = StateSet([helpers.random_pure(3, rng) for _ in range(3)])
+        margin = helpers.cfs_margin(triple)
+        cert = decide(triple)
+        if abs(margin) > 1e-9:
+            assert cert.verdict is (Verdict.YES if margin > 0 else Verdict.NO), margin
+        if cert.verdict is Verdict.YES:
+            assert verify_antidistinguishing(triple, cert.povm)
+        if cert.method is Method.CHART_WITNESS:
+            assert verify_witness(triple, cert.witness)
 
 
 def test_mixed_input_rejected():
@@ -89,7 +111,8 @@ def test_pair_equivalence_distinguishable_iff_antidistinguishable():
 def test_singular_gram_routes_to_search_not_crash():
     # four coplanar qubit-subspace states embedded in dimension 3 have
     # operator-dependent projectors, so the weight system is singular;
-    # the pipeline must fall through to the chart search cleanly
+    # the pipeline must fall through to the chart solve cleanly, which
+    # finds the measurement of the underlying qubit square
     from antidist import solve_weights
     from antidist.errors import SingularSystem
 
@@ -101,10 +124,9 @@ def test_singular_gram_routes_to_search_not_crash():
     sset = StateSet(members)
     with pytest.raises(SingularSystem):
         solve_weights(sset)
-    cert = decide(sset, budget=20)
-    assert cert.verdict in (Verdict.UNKNOWN, Verdict.YES)
-    if cert.verdict is Verdict.YES:
-        assert verify_antidistinguishing(sset, cert.povm)
+    cert = decide(sset)
+    assert cert.verdict is Verdict.YES and cert.method is Method.CHART
+    assert verify_antidistinguishing(sset, cert.povm)
 
 
 def test_yes_certificates_always_carry_verifying_povm():
@@ -116,7 +138,10 @@ def test_yes_certificates_always_carry_verifying_povm():
             sset = StateSet([helpers.random_pure(d, rng) for _ in range(n)])
         except Exception:
             continue
-        cert = decide(sset, budget=5)
+        cert = decide(sset)
+        assert cert.verdict is not Verdict.UNKNOWN
         if cert.verdict is Verdict.YES:
             assert cert.povm is not None
             assert verify_antidistinguishing(sset, cert.povm)
+        if cert.method is Method.CHART_WITNESS:
+            assert verify_witness(sset, cert.witness)
