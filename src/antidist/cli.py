@@ -12,6 +12,7 @@ error, 3 unknown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -176,20 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("states", help="state-set JSON file")
     common(p)
     p.add_argument("-o", "--output", help="write the certificate here instead of stdout")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="verify a POVM against a state set")
     p.add_argument("states")
     p.add_argument("povm", help="POVM JSON file (certificate files accepted)")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("complete", help="complete a qubit set by at most one state")
     p.add_argument("states")
     common(p)
     p.add_argument("-o", "--output", help="write the certificate here instead of stdout")
     p.add_argument("--out-states", help="also write the enlarged state set here")
-    p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("orbit", help="generate an orbit and its covariant certificate")
     common(p)
@@ -199,20 +197,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-states", help="write the orbit state set here")
     p.add_argument("--out-cert", help="write the certificate here")
     p.add_argument("-o", "--output", help="write the combined document here instead of stdout")
-    p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("bloch", help="print Bloch coordinates of a qubit set")
     p.add_argument("states")
     common(p)
-    p.set_defaults(func=cmd_bloch)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_* function is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (AntidistError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

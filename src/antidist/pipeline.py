@@ -3,7 +3,8 @@
 Order of attack for a pure state set:
 
 1. pairwise orthogonality (yes via the outcome-swapped measurement),
-2. the exact qubit decision when d = 2 (yes or no),
+2. the exact qubit decision when d = 2 (yes or no, from one LP whose
+   margin the notes give),
 3. the pairwise-fidelity bound (no on violation),
 4. Gram weights plus the sum-equals-projection test (yes with the
    explicit measurement),
@@ -39,19 +40,20 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
 
     if states.dim == 2:
         verdict = qubit.qubit_decide(states, tol)
+        margin = f"LP margin s* = {verdict.margin:.3g}"
         if verdict.feasible:
             return Certificate(
                 Verdict.YES,
                 Method.QUBIT_BLOCH,
                 weights=verdict.weights,
                 bloch_weights=verdict.weights,
-                povm=qubit.exclusion_povm(states, verdict.weights),
-                notes="strictly positive weights cancel the Bloch vectors",
+                povm=verdict.povm,
+                notes=f"strictly positive weights cancel the Bloch vectors; {margin}",
             )
         return Certificate(
             Verdict.NO,
             Method.QUBIT_BLOCH,
-            notes="no strictly positive weights cancel the Bloch vectors",
+            notes=f"no strictly positive weights cancel the Bloch vectors; {margin}",
         )
 
     bound = conditions.fidelity_bound_check(states, tol)

@@ -1,20 +1,24 @@
 """Exact Bloch-sphere decision and one-state completion for pure qubit sets.
 
 A pure qubit set is antidistinguishable exactly when some strictly positive
-weights make the Bloch vectors sum to zero.  At desk scale the decision is
-made by enumerating basic solutions of the four-equation system
-(three zero-sum components plus the normalization sum t = 2) over all
-supports of size at most four: a strictly positive solution exists iff
-every coordinate is positive in at least one basic nonnegative solution,
-and then the average of all of them is such a solution.
+weights make the Bloch vectors sum to zero, i.e. when the origin lies in the
+relative interior of their convex hull.  One linear program decides it:
+
+    maximize s  subject to  sum_j t_j r_j = 0,  sum_j t_j = 1,  t_j >= s,
+
+with t and s free.  The set is antidistinguishable iff the margin s* is
+positive; s* is -inf when no weights summing to one cancel the vectors (the
+origin lies outside their affine hull).  The solver meets the equalities only
+to its own tolerance, so the optimal t is projected back onto them by one
+least-squares step before it is rescaled to sum 2 and used as a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
+from scipy.optimize import linprog
 
 from . import linalg
 from .errors import WrongDimension
@@ -23,34 +27,37 @@ from .states import Povm, PureState, StateSet, same_state
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 #: strict-positivity threshold defining "positive real numbers"
 FEAS_EPS = 1e-9
 
-_RESIDUAL_TOL = 1e-9
-
 
 @dataclass
 class QubitVerdict:
-    """Feasibility verdict; weights sum to 2 when feasible."""
+    """Feasibility verdict; weights sum to 2 when feasible.
+
+    ``margin`` is the LP optimum s* and ``povm`` the validated measurement
+    {t_j (1 - P_j)}, both set by ``qubit_decide``.
+    """
 
     feasible: bool
     weights: np.ndarray | None = None
     added_state: np.ndarray | None = None
+    margin: float | None = None
+    povm: Povm | None = None
+
+
+def _bloch(vectors: np.ndarray) -> np.ndarray:
+    """Rows v_j^dagger sigma_k v_j for an (n, 2) stack of unit vectors."""
+    return np.einsum("ni,kij,nj->nk", vectors.conj(), _PAULI, vectors).real
 
 
 def bloch_from_state(state: PureState) -> np.ndarray:
     """Bloch vector r with components tr(P sigma_k); unit length for pure states."""
     if state.dim != 2:
         raise WrongDimension("Bloch vectors exist for dimension 2 only")
-    p = state.projector
-    return np.array(
-        [
-            np.trace(p @ PAULI_X).real,
-            np.trace(p @ PAULI_Y).real,
-            np.trace(p @ PAULI_Z).real,
-        ]
-    )
+    return _bloch(state.vector[np.newaxis])[0]
 
 
 def state_from_bloch(r) -> PureState:
@@ -72,45 +79,48 @@ def bloch_vectors(states: StateSet) -> np.ndarray:
     if states.dim != 2:
         raise WrongDimension("Bloch vectors exist for dimension 2 only")
     states.require_pure("the qubit decision")
-    return np.array([bloch_from_state(s) for s in states.states])
+    return _bloch(np.array(states.vectors()))
 
 
-def _basic_nonnegative_solutions(rvecs: np.ndarray) -> list[np.ndarray]:
-    """Nonnegative solutions of [r_j; 1] t = (0, 0, 0, 2) with support <= 4."""
+def _max_min_weights(rvecs: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The LP margin s* and its weights t, polished and rescaled to sum 2.
+
+    Returns (-inf, None) when the LP is infeasible.
+    """
     n = rvecs.shape[0]
-    a = np.vstack([rvecs.T, np.ones(n)])
-    b = np.array([0.0, 0.0, 0.0, 2.0])
-    found = []
-    for size in range(1, min(n, 4) + 1):
-        for support in combinations(range(n), size):
-            cols = a[:, support]
-            t, *_ = np.linalg.lstsq(cols, b, rcond=None)
-            if np.linalg.norm(cols @ t - b) > _RESIDUAL_TOL:
-                continue
-            if t.min() < -1e-12:
-                continue
-            full = np.zeros(n)
-            full[list(support)] = np.clip(t, 0.0, None)
-            found.append(full)
-    return found
+    a_eq = np.vstack([rvecs.T, np.ones(n)])
+    b_eq = np.array([0.0, 0.0, 0.0, 1.0])
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_ub=np.hstack([-np.eye(n), np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        A_eq=np.hstack([a_eq, np.zeros((4, 1))]),
+        b_eq=b_eq,
+        bounds=(None, None),
+        method="highs",
+    )
+    if res.status == 2:
+        return -np.inf, None
+    if res.status != 0:
+        raise RuntimeError(f"qubit LP failed: {res.message}")
+    t = res.x[:n]
+    t = t - np.linalg.lstsq(a_eq, a_eq @ t - b_eq, rcond=None)[0]
+    return float(res.x[-1]), 2.0 * t / t.sum()
 
 
 def qubit_decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> QubitVerdict:
     """Decide whether strictly positive weights cancel the Bloch vectors.
 
     Feasible verdicts carry weights normalized to sum 2, so that
-    {t_j (1 - P_j)} is an excluding measurement.
+    {t_j (1 - P_j)} is an excluding measurement; it is built, and so
+    validated as a ``Povm``, before the verdict is returned.
     """
-    rvecs = bloch_vectors(states)
-    solutions = _basic_nonnegative_solutions(rvecs)
-    if not solutions:
-        return QubitVerdict(False)
-    stacked = np.array(solutions)
-    if not (stacked > FEAS_EPS).any(axis=0).all():
-        return QubitVerdict(False)
-    weights = stacked.mean(axis=0)
-    weights *= 2.0 / weights.sum()
-    return QubitVerdict(True, weights=weights)
+    margin, weights = _max_min_weights(bloch_vectors(states))
+    if margin <= FEAS_EPS or weights.min() <= FEAS_EPS:
+        return QubitVerdict(False, margin=margin)
+    return QubitVerdict(True, weights=weights, margin=margin, povm=exclusion_povm(states, weights))
 
 
 def exclusion_povm(states: StateSet, weights) -> Povm:

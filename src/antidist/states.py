@@ -155,10 +155,13 @@ class StateSet:
         d = members[0].dim
         if any(s.dim != d for s in members):
             raise ValueError("all states must share a dimension")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if same_state(members[i], members[j]):
-                    raise DuplicateState(f"states {i} and {j} coincide up to global phase")
+        ops = np.stack([s.density() for s in members])
+        for i in range(len(members) - 1):
+            # same_state's Frobenius test against every later member at once
+            close = np.linalg.norm(ops[i + 1:] - ops[i], axis=(1, 2)) <= DUPLICATE_TOL
+            if close.any():
+                j = i + 1 + int(np.argmax(close))
+                raise DuplicateState(f"states {i} and {j} coincide up to global phase")
         self.dim = d
         self.states = members
 

@@ -13,6 +13,7 @@ The two hand-checked triples in dimension 3:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -201,6 +202,47 @@ def linprog_strictly_feasible(bloch: np.ndarray, threshold: float = 1e-9) -> boo
     bounds = [(0, None)] * n + [(None, 2)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     return bool(res.status == 0 and res.x is not None and res.x[-1] > threshold)
+
+
+def enumeration_strictly_feasible(bloch: np.ndarray, threshold: float = 1e-9) -> bool:
+    """Independent oracle for n <= 12, by enumeration of basic solutions.
+
+    Every nonnegative solution of [r_j; 1] t = (0, 0, 0, 2) is a convex
+    combination of basic ones, whose supports have at most four members.
+    Strictly positive weights exist iff every coordinate is positive in one
+    of them (their average is then such a solution).  O(n^4) lstsq calls.
+    """
+    n = bloch.shape[0]
+    if n > 12:
+        raise ValueError("the enumeration oracle is meant for n <= 12")
+    a = np.vstack([bloch.T, np.ones(n)])
+    b = np.array([0.0, 0.0, 0.0, 2.0])
+    covered = np.zeros(n, dtype=bool)
+    for size in range(1, min(n, 4) + 1):
+        for support in combinations(range(n), size):
+            cols = a[:, support]
+            t, *_ = np.linalg.lstsq(cols, b, rcond=None)
+            if np.linalg.norm(cols @ t - b) <= 1e-9 and t.min() >= -1e-12:
+                covered[list(support)] |= t > threshold
+    return bool(covered.all())
+
+
+def hemisphere_qubit_set(n: int, rng: np.random.Generator) -> StateSet:
+    """n random pure qubit states whose Bloch vectors lie in one open
+    hemisphere, so the set is not antidistinguishable."""
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    rows = rng.standard_normal((n, 3))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows *= np.sign(rows @ axis)[:, None]
+    return StateSet([state_from_bloch(r) for r in rows])
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Random 3 x 3 rotation matrix (determinant +1)."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q *= np.sign(np.diag(r))
+    return q * np.sign(np.linalg.det(q))
 
 
 def cfs_margin(states: StateSet) -> float:

@@ -355,3 +355,37 @@ def test_group_and_povm_files_need_matrix_lists(tmp_path, triple_file, capsys):
     code, out, err = run(capsys, "verify", triple_file, povm_path)
     assert code == 2 and out == ""
     assert "internal error" not in err and "'effects' must be a non-empty list" in err
+
+
+def test_consecutive_calls_share_the_parser_not_their_arguments(triple_file, tmp_path, capsys,
+                                                                monkeypatch):
+    real, builds = cli.build_parser, []
+
+    def counting_build():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "check", triple_file, "-o", str(cert), "--tolerance", "1e-6")
+        assert code == 0 and out == "" and cert.exists()
+        # no -o and the default tolerance on the next call
+        code, out, _ = run(capsys, "check", triple_file)
+        assert code == 0 and json.loads(out)["verdict"] == "AntidistYes"
+        code, out, _ = run(capsys, "verify", triple_file, str(cert))
+        assert code == 0 and out.strip() == "verified"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", triple_file, "--budget", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        trine = write_json(tmp_path / "trine.json", state_doc(helpers.trine()))
+        code, out, _ = run(capsys, "bloch", trine)
+        assert code == 0 and len(out.strip().splitlines()) == 3
+        # a command function replaced after the parser was built is the one that runs
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert cli.main(["verify", triple_file, str(cert)]) == 7
+        assert builds == [1]
+    finally:
+        cli._parser.cache_clear()

@@ -33,10 +33,17 @@ def test_qubit_routes():
     cert = decide(helpers.trine())
     assert cert.verdict is Verdict.YES and cert.method is Method.QUBIT_BLOCH
     assert verify_antidistinguishing(helpers.trine(), cert.povm)
+    assert cert.notes.endswith("LP margin s* = 0.333")
 
     pair = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((1, 0, 0))])
     cert = decide(pair)
     assert cert.verdict is Verdict.NO and cert.method is Method.QUBIT_BLOCH
+    assert cert.notes.endswith("LP margin s* = -inf")
+
+    # in a hemisphere, weights summing to one cancel the vectors only if one is negative
+    cert = decide(helpers.hemisphere_qubit_set(5, np.random.default_rng(109)))
+    assert cert.verdict is Verdict.NO
+    assert -np.inf < float(cert.notes.rsplit("= ", 1)[1]) < 0
 
 
 def test_fidelity_refutation_for_nonorthogonal_pair_in_d3():

@@ -189,3 +189,74 @@ def test_completion_soundness_randomized():
         assert qubit_decide(enlarged).feasible
         assert verify_antidistinguishing(enlarged, exclusion_povm(enlarged, verdict.weights))
         completed += 1
+
+
+def test_bloch_vectors_match_trace_formula():
+    # the reference: tr(P sigma_k) for each state and Pauli matrix
+    from antidist.qubit import PAULI_X, PAULI_Y, PAULI_Z
+
+    rng = np.random.default_rng(89)
+    sset = helpers.random_qubit_set(9, rng)
+    expected = [[np.trace(s.projector @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+                for s in sset.states]
+    assert np.allclose(bloch_vectors(sset), expected, rtol=0, atol=1e-15)
+    for s, row in zip(sset.states, expected):
+        assert np.allclose(bloch_from_state(s), row, rtol=0, atol=1e-15)
+
+
+def test_decision_agrees_with_enumeration_and_lp_oracles():
+    rng = np.random.default_rng(97)
+    seen = set()
+    for n in range(2, 13):
+        for _ in range(6):
+            if rng.random() < 0.5:
+                sset = helpers.random_qubit_set(n, rng)
+            else:
+                sset = helpers.hemisphere_qubit_set(n, rng)
+            bloch = bloch_vectors(sset)
+            answer = helpers.enumeration_strictly_feasible(bloch)
+            assert answer == helpers.linprog_strictly_feasible(bloch)
+            assert qubit_decide(sset).feasible == answer
+            seen.add(answer)
+    assert seen == {True, False}
+
+
+ORIGIN_ON_BOUNDARY = {
+    "antipodal pair and one more": [(0, 0, 1), (0, 0, -1), (1, 0, 0)],
+    "coplanar, origin on a hull edge": [(1, 0, 0), (-1, 0, 0)]
+    + [(np.cos(a), np.sin(a), 0) for a in (0.4, 1.3, 2.2)],
+    "antipodal pair plus hemisphere points": [(0, 0, 1), (0, 0, -1)]
+    + [(np.sqrt(1 - y * y - z * z), y, z) for y, z in ((0.3, 0.5), (-0.6, 0.1), (0.2, -0.7))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORIGIN_ON_BOUNDARY))
+def test_origin_on_hull_boundary_is_no(name):
+    # the origin is in the hull but not in its relative interior, so some
+    # weight must vanish; checked as given and under random rotations
+    rng = np.random.default_rng(101)
+    base = np.array(ORIGIN_ON_BOUNDARY[name], dtype=float)
+    for rotation in [np.eye(3)] + [helpers.random_rotation(rng) for _ in range(5)]:
+        sset = StateSet([state_from_bloch(r) for r in base @ rotation.T])
+        bloch = bloch_vectors(sset)
+        verdict = qubit_decide(sset)
+        assert not verdict.feasible
+        assert abs(verdict.margin) <= 1e-9
+        assert not helpers.enumeration_strictly_feasible(bloch)
+        assert not helpers.linprog_strictly_feasible(bloch)
+        # the antipode of the other points' sum puts the origin inside
+        rest = bloch[2:].sum(axis=0)
+        opposite = state_from_bloch(-rest / np.linalg.norm(rest))
+        assert qubit_decide(StateSet(sset.states + (opposite,))).feasible
+
+
+def test_large_set_weights_certify():
+    rng = np.random.default_rng(107)
+    sset = helpers.random_qubit_set(200, rng)
+    verdict = qubit_decide(sset)
+    assert verdict.feasible
+    assert verdict.weights.min() > 0
+    assert abs(verdict.weights.sum() - 2.0) <= 1e-12
+    assert np.linalg.norm(verdict.weights @ bloch_vectors(sset)) <= 1e-12
+    assert verify_antidistinguishing(sset, verdict.povm)
+    assert verify_antidistinguishing(sset, exclusion_povm(sset, verdict.weights))

@@ -119,3 +119,31 @@ def test_certificate_fields_survive_serialization():
     assert np.allclose(back.weights, [1, 1])
     assert np.allclose(back.added_bloch, [0, 0, -1])
     assert back.notes == "test"
+
+
+def test_duplicate_check_threshold_and_order():
+    rng = np.random.default_rng(8)
+    v = helpers.random_vector(3, rng)
+    u = helpers.random_vector(3, rng)
+    u -= np.vdot(v, u) * v
+    u /= np.linalg.norm(u)
+
+    def near(distance):
+        # ||P - Q||_F = sqrt(2) sin(theta) for unit vectors at angle theta
+        theta = np.arcsin(distance / np.sqrt(2))
+        return PureState(np.cos(theta) * v + np.sin(theta) * u)
+
+    a = PureState(v)
+    assert StateSet([a, near(2e-7)]).n == 2
+    with pytest.raises(DuplicateState, match="states 0 and 1"):
+        StateSet([a, near(0.5e-7)])
+    b = PureState(helpers.random_vector(3, rng))
+    b_phase = PureState(np.exp(2.1j) * b.vector)
+    with pytest.raises(DuplicateState, match="states 1 and 2"):
+        StateSet([a, b, b_phase])
+    # the first pair in row order is named, not the first adjacent one
+    with pytest.raises(DuplicateState, match="states 0 and 3"):
+        StateSet([a, b, b_phase, near(0.0)])
+    mixed = DensityMatrix(np.eye(3) / 3)
+    with pytest.raises(DuplicateState, match="states 1 and 2"):
+        StateSet([a, mixed, DensityMatrix(np.eye(3) / 3)])
