@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CountMismatch, DimensionOne, OverlappingSets, RankTooSmall, WrongDimension
-from .states import DensityMatrix, Povm, PureState, StateSet, same_state
+from .states import DensityMatrix, Povm, PureState, StateSet, first_match
 
 #: Frobenius tolerance for the identity "sum of weighted projectors = R"
 SUM_RESIDUAL_TOL = 1e-8
@@ -164,7 +164,7 @@ def union_povm(
     both measurements."""
     if a.dim != b.dim:
         raise WrongDimension("sets to unite must share a dimension")
-    if any(same_state(sa, sb) for sa in a.states for sb in b.states):
+    if (first_match(np.stack(a.densities()), np.stack(b.densities())) >= 0).any():
         raise OverlappingSets("the two sets share a state")
     if not verify_antidistinguishing(a, ma, tol) or not verify_antidistinguishing(b, mb, tol):
         raise ValueError("both input measurements must exclude their sets")
@@ -194,20 +194,13 @@ def two_n_construction(
     else:
         scales = [2.0 ** -(n - 1)] + [2.0 ** -(n - i) for i in range(1, n)]
     eye = np.eye(d)
-    entries = []
+    members, effects = [], []
     for scale, p in zip(scales, states.states):
-        proj = p.projector
-        complement = DensityMatrix((eye - proj) / (d - 1), tol)
-        entries.append((p, scale * (eye - proj)))
-        entries.append((complement, scale * proj))
-    merged_states: list = []
-    merged_effects: list[np.ndarray] = []
-    for state, effect in entries:
-        for k, existing in enumerate(merged_states):
-            if same_state(state, existing):
-                merged_effects[k] = merged_effects[k] + effect
-                break
-        else:
-            merged_states.append(state)
-            merged_effects.append(effect)
-    return StateSet(merged_states, tol), Povm(merged_effects, tol)
+        members += [p, DensityMatrix((eye - p.projector) / (d - 1), tol)]
+        effects += [scale * (eye - p.projector), scale * p.projector]
+    ops = np.stack([m.density() for m in members])
+    first = first_match(ops, ops)
+    summed = np.zeros_like(ops)
+    np.add.at(summed, first, effects)
+    keep = np.flatnonzero(first == np.arange(len(members)))
+    return StateSet([members[k] for k in keep], tol), Povm(summed[keep], tol)

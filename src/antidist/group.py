@@ -16,22 +16,14 @@ import numpy as np
 
 from . import conditions, linalg, qubit
 from .errors import FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
-from .states import Povm, PureState, StateSet, same_state
-
-#: distance within which two group elements coincide
-CLOSURE_TOL = 1e-7
+from .states import Povm, PureState, StateSet, first_match
 
 #: Frobenius tolerance for "orbit sum = c * span projector"
 SCHUR_TOL = 1e-8
 
 
-def _hash_key(u: np.ndarray) -> bytes:
-    # +0.0 collapses -0.0 so equal matrices hash equally
-    return (np.round(u, 6) + 0.0).tobytes()
-
-
 class GroupRep:
-    """Finite set of unitaries closed under multiplication, with the identity."""
+    """Finite set of distinct unitaries closed under multiplication, with the identity."""
 
     __slots__ = ("dim", "elements", "labels")
 
@@ -40,37 +32,29 @@ class GroupRep:
         if not mats:
             raise ValueError("a representation needs at least one element")
         d = mats[0].shape[0]
-        eye = np.eye(d)
         for idx, u in enumerate(mats):
             if u.ndim != 2 or u.shape != (d, d):
                 raise ValueError(f"element {idx} is not {d}x{d}")
-            if linalg.frobenius(linalg.adjoint(u) @ u - eye) > tol:
-                raise ValueError(f"element {idx} is not unitary within tolerance")
+        stack, eye = np.stack(mats), np.eye(d)
+        unitary = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - eye, axis=(1, 2)) <= tol
+        if not unitary.all():
+            raise ValueError(f"element {int(np.argmin(unitary))} is not unitary within tolerance")
         if labels is None:
             labels = [f"g{k}" for k in range(len(mats))]
         labels = [str(x) for x in labels]
         if len(labels) != len(mats):
             raise ValueError("one label per element required")
 
-        stack = np.stack(mats)
-        index: dict[bytes, list[int]] = {}
-        for k, u in enumerate(mats):
-            index.setdefault(_hash_key(u), []).append(k)
-
-        def find(m: np.ndarray) -> int | None:
-            for k in index.get(_hash_key(m), []):
-                if linalg.frobenius(mats[k] - m) <= CLOSURE_TOL:
-                    return k
-            dists = np.linalg.norm(stack - m, axis=(1, 2))
-            k = int(np.argmin(dists))
-            return k if dists[k] <= CLOSURE_TOL else None
-
-        if find(eye) is None:
+        if first_match(stack, eye[None])[0] < 0:
             raise ValueError("representation does not contain the identity")
-        for g in mats:
-            for h in mats:
-                if find(g @ h) is None:
-                    raise ValueError("representation is not closed under multiplication")
+        first = first_match(stack, stack)
+        repeats = np.flatnonzero(first != np.arange(len(mats)))
+        if repeats.size:
+            j = repeats[0]
+            raise ValueError(f"elements {first[j]} and {j} coincide; list each element once")
+        for g in stack:
+            if (first_match(stack, g @ stack) < 0).any():
+                raise ValueError("representation is not closed under multiplication")
 
         self.dim = d
         self.elements = tuple(mats)
@@ -100,11 +84,10 @@ def orbit(rep: GroupRep, base: PureState, tol: float = linalg.DEFAULT_TOL) -> Or
     """Orbit of a pure state, deduplicated as projectors."""
     if base.dim != rep.dim:
         raise WrongDimension("base state and representation dimensions differ")
-    members: list[PureState] = []
-    for u in rep.elements:
-        cand = PureState(u @ base.vector, tol)
-        if not any(same_state(cand, m) for m in members):
-            members.append(cand)
+    images = [PureState(u @ base.vector, tol) for u in rep.elements]
+    ops = np.stack([m.projector for m in images])
+    first = first_match(ops, ops)
+    members = [m for k, m in enumerate(images) if first[k] == k]
     if len(members) < 2:
         raise FixedPoint("the base state is fixed by every group element")
     if rep.order % len(members) != 0:
@@ -167,14 +150,10 @@ def builtin_symmetric_permutation(n: int) -> GroupRep:
         raise ValueError("the permutation representation needs n >= 3")
     if n > 6:
         raise TooLarge("permutation groups beyond n = 6 are not supported")
-    mats, labels = [], []
-    for perm in permutations(range(n)):
-        m = np.zeros((n, n), dtype=complex)
-        for src, dst in enumerate(perm):
-            m[dst, src] = 1.0
-        mats.append(m)
-        labels.append("".join(str(x) for x in perm))
-    return GroupRep(mats, labels)
+    perms = list(permutations(range(n)))
+    # the matrix of perm sends e_src to e_perm[src]
+    mats = [np.eye(n, dtype=complex)[:, list(perm)] for perm in perms]
+    return GroupRep(mats, ["".join(map(str, perm)) for perm in perms])
 
 
 def standard_subspace_vectors(n: int) -> list[np.ndarray]:

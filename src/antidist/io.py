@@ -26,15 +26,17 @@ def complex_to_pair(z: complex) -> list[float]:
     return [_sig(z.real), _sig(z.imag)]
 
 
+#: the types of JSON numbers: exact, so that true and false (bool) are not numbers
+_NUMBERS = (int, float)
+
+
 def pair_to_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
+    if type(entry) in _NUMBERS:
         return complex(entry, 0.0)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) for x in entry)
-    ):
-        return complex(float(entry[0]), float(entry[1]))
+    if type(entry) in (list, tuple) and len(entry) == 2:
+        re, im = entry
+        if type(re) in _NUMBERS and type(im) in _NUMBERS:
+            return complex(float(re), float(im))
     raise FileFormatError(f"expected a number or [re, im] pair, got {entry!r}")
 
 
@@ -55,7 +57,11 @@ def matrix_to_wire(m) -> list:
 def wire_to_matrix(rows) -> np.ndarray:
     if not isinstance(rows, list):
         raise FileFormatError(f"expected a matrix as a list of rows, got {rows!r}")
-    return np.array([wire_to_vector(row) for row in rows], dtype=complex)
+    vectors = [wire_to_vector(row) for row in rows]
+    try:
+        return np.array(vectors, dtype=complex)
+    except ValueError as exc:  # numpy rejects rows of unequal length
+        raise FileFormatError(f"matrix rows differ in length: {rows!r}") from exc
 
 
 def real_vector_to_wire(v) -> list[float]:
@@ -75,16 +81,19 @@ def dumps_doc(doc: dict) -> str:
 
 
 def _entries(path: str, doc, key: str) -> tuple[int, list, list | None]:
-    """The document's dim, its non-empty list ``doc[key]``, and its labels list if any."""
+    """The document's dim, an integer >= 1 (2.0 counts; true, 2.7 and "2" do not),
+    its non-empty list ``doc[key]``, and its labels list if any."""
     try:
-        dim, raw, labels = int(doc["dim"]), doc[key], doc.get("labels")
+        dim, raw, labels = doc["dim"], doc[key], doc.get("labels")
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"{path}: missing field {exc}") from exc
+    if type(dim) not in _NUMBERS or not dim >= 1 or dim % 1:
+        raise FileFormatError(f"{path}: 'dim' must be an integer >= 1, got {dim!r}")
     if not isinstance(raw, list) or not raw:
         raise FileFormatError(f"{path}: '{key}' must be a non-empty list")
     if labels is not None and not isinstance(labels, list):
         raise FileFormatError(f"{path}: 'labels' must be a list")
-    return dim, raw, labels
+    return int(dim), raw, labels
 
 
 def load_state_set(path: str, tol: float = 1e-9) -> tuple[StateSet, list[str]]:
@@ -135,12 +144,13 @@ def load_povm(path: str, tol: float = 1e-9) -> Povm:
     """Read {dim, effects: [matrix...]}; certificate files are accepted too."""
     doc = _load_json(path)
     if isinstance(doc, dict) and "effects" not in doc:
-        if isinstance(doc.get("povm"), dict):
-            doc = doc["povm"]
-        elif "verdict" in doc:
-            raise FileFormatError(
-                f"{path}: certificate carries no POVM (verdict {doc.get('verdict')})"
-            )
+        if doc.get("povm") is None and "verdict" in doc:
+            raise FileFormatError(f"{path}: {doc['verdict']} certificate carries no POVM")
+        doc = doc.get("povm", doc)
+    return _povm_from_doc(path, doc, tol)
+
+
+def _povm_from_doc(path: str, doc, tol: float) -> Povm:
     dim, raw, _ = _entries(path, doc, "effects")
     effects = _square_matrices(path, raw, dim, "effect")
     try:
@@ -165,7 +175,9 @@ def load_group(path: str, tol: float = 1e-9) -> GroupRep:
 
 
 def _real_vector(entries) -> np.ndarray:
-    return np.asarray(entries, dtype=float)
+    if not isinstance(entries, list) or any(type(x) not in _NUMBERS for x in entries):
+        raise FileFormatError(f"expected a list of real numbers, got {entries!r}")
+    return np.array(entries, dtype=float)
 
 
 #: optional certificate evidence: key (also the Certificate field), writer, reader
@@ -195,19 +207,13 @@ def certificate_to_doc(cert: Certificate) -> dict:
 
 
 def certificate_from_doc(doc: dict, tol: float = 1e-9) -> Certificate:
+    """The certificate a document describes; FileFormatError when it is malformed."""
     try:
         verdict = Verdict(doc["verdict"])
-    except (KeyError, ValueError) as exc:
-        raise FileFormatError(f"bad certificate verdict: {exc}") from exc
-    method = doc.get("method")
-    if method is not None:
-        try:
-            method = Method(method)
-        except ValueError as exc:
-            raise FileFormatError(f"bad certificate method: {exc}") from exc
-    povm = None
-    if doc.get("povm") is not None:
-        effects = [wire_to_matrix(rows) for rows in doc["povm"]["effects"]]
-        povm = Povm(effects, tol)
+        method = None if doc.get("method") is None else Method(doc["method"])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise FileFormatError(f"bad certificate verdict or method: {exc}") from exc
+    povm = doc.get("povm")
+    povm = None if povm is None else _povm_from_doc("certificate povm", povm, tol)
     evidence = {key: read(doc[key]) for key, _, read in _EVIDENCE if doc.get(key) is not None}
     return Certificate(verdict, method, povm=povm, notes=str(doc.get("notes", "")), **evidence)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SingularSystem
 
-#: default tolerance for projector / positivity / closure tests
+#: default tolerance for projector / positivity / unitarity tests
 DEFAULT_TOL = 1e-9
 
 #: singular values below this fraction of the largest one make a linear

@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 
 from . import linalg
 from .errors import WrongDimension
-from .states import Povm, PureState, StateSet, same_state
+from .states import Povm, PureState, StateSet, first_match
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -151,7 +151,7 @@ def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
         raise RuntimeError("zero Bloch sum contradicts the infeasible verdict")
     direction = -total / nrm
     added = state_from_bloch(direction)
-    if any(same_state(added, s) for s in states.states):
+    if first_match(np.stack(states.densities()), added.projector[None])[0] >= 0:
         raise RuntimeError("completion coincides with a member; set should be feasible")
     weights = np.full(states.n + 1, 1.0 / nrm)
     weights[-1] = 1.0

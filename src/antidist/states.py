@@ -1,8 +1,9 @@
 """Value types: pure states, density matrices, POVMs, state sets, certificates.
 
-Global phase is quotiented out everywhere by working with projectors:
-two states count as equal exactly when their operators coincide within
-``DUPLICATE_TOL`` in Frobenius norm.
+Global phase is quotiented out by working with projectors.  Sameness has
+one test, ``first_match``: two states or group elements are the same when
+their operators lie within the fixed Frobenius distance ``DUPLICATE_TOL``,
+which neither ``tol`` arguments nor the CLI's ``--tolerance`` move.
 """
 
 from __future__ import annotations
@@ -22,8 +23,32 @@ from .errors import (
     ZeroVector,
 )
 
-#: operator Frobenius distance at or below which two states are "the same"
+#: operator Frobenius distance at or below which two states or group elements are "the same"
 DUPLICATE_TOL = 1e-7
+
+
+def first_match(known, ops) -> np.ndarray:
+    """For each operator q of the (k, d, d) stack ``ops``, the index of the first
+    operator a of the (m, d, d) stack ``known`` with |q - a|_F <= ``DUPLICATE_TOL``,
+    or -1.  One product of the flattened stacks shortlists the pairs through
+    |a - q|^2 = |a|^2 + |q|^2 - 2 Re<a, q>; the exact |q - a| decides on the shortlist.
+    """
+    # real views: Re<a, q> of the complex entries is the dot product of [re, im] pairs
+    a = np.ascontiguousarray(known, dtype=complex).reshape(len(known), -1).view(float)
+    q = np.ascontiguousarray(ops, dtype=complex).reshape(len(ops), -1).view(float)
+    # shrinking the norms by 4 (n + 2) eps covers the rounding of the three sums of
+    # n products and of the two additions, so rounding never drops a true match
+    shrink = 1.0 - 4 * (a.shape[1] + 2) * np.finfo(float).eps
+    gap = q @ (-2.0 * a.T)
+    gap += shrink * (q * q).sum(axis=1, keepdims=True)
+    gap += shrink * (a * a).sum(axis=1)
+    rows, cols = np.divmod(np.flatnonzero(gap <= DUPLICATE_TOL**2), len(a))
+    hit = np.linalg.norm(q[rows] - a[cols], axis=1) <= DUPLICATE_TOL
+    out = np.full(len(q), len(a))
+    np.minimum.at(out, rows[hit], cols[hit])
+    out[out == len(a)] = -1
+    return out
+
 
 #: accepted deviation of an input vector's norm from 1 (renormalized exactly)
 NORM_SLACK = 1e-6
@@ -108,11 +133,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def same_state(a, b) -> bool:
-    """True when two states coincide as operators, within ``DUPLICATE_TOL``."""
-    return linalg.frobenius(a.density() - b.density()) <= DUPLICATE_TOL
-
-
 class Povm:
     """Finite list of positive effects summing to the identity."""
 
@@ -156,12 +176,13 @@ class StateSet:
         if any(s.dim != d for s in members):
             raise ValueError("all states must share a dimension")
         ops = np.stack([s.density() for s in members])
-        for i in range(len(members) - 1):
-            # same_state's Frobenius test against every later member at once
-            close = np.linalg.norm(ops[i + 1:] - ops[i], axis=(1, 2)) <= DUPLICATE_TOL
-            if close.any():
-                j = i + 1 + int(np.argmax(close))
-                raise DuplicateState(f"states {i} and {j} coincide up to global phase")
+        first = first_match(ops, ops)
+        later = np.flatnonzero(first < np.arange(len(members)))
+        if later.size:
+            # the first pair in row order: its i is the least first match of a later row
+            i = first[later].min()
+            j = later[first[later] == i][0]
+            raise DuplicateState(f"states {i} and {j} coincide up to global phase")
         self.dim = d
         self.states = members
 

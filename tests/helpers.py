@@ -31,6 +31,7 @@ from antidist import (
     tetrahedral_state,
 )
 from antidist.linalg import orthonormal_columns
+from antidist.states import DUPLICATE_TOL
 
 S5 = np.sqrt(5.0)
 
@@ -152,6 +153,25 @@ def cached_cyclic(d: int) -> GroupRep:
         shift[(k + 1) % d, k] = 1.0
     mats = [np.linalg.matrix_power(shift, k) for k in range(d)]
     return GroupRep(mats, [f"c{k}" for k in range(d)])
+
+
+def pairwise_first_match(known, ops) -> np.ndarray:
+    """Reference for ``states.first_match``: the pairwise Frobenius loop."""
+    out = np.full(len(ops), -1)
+    for i, q in enumerate(ops):
+        for j, a in enumerate(known):
+            if np.linalg.norm(q - a) <= DUPLICATE_TOL:
+                out[i] = j
+                break
+    return out
+
+
+def closed_by_products(elements) -> bool:
+    """Reference closure check: each of the |G|^2 products lies within
+    ``DUPLICATE_TOL`` of some element."""
+    return all(
+        (pairwise_first_match(elements, [g @ h]) >= 0).all() for g in elements for h in elements
+    )
 
 
 def random_zero_sum_base(n: int, rng: np.random.Generator) -> PureState:

@@ -389,3 +389,23 @@ def test_consecutive_calls_share_the_parser_not_their_arguments(triple_file, tmp
         assert builds == [1]
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("elements", [["I", "I", "X", "X"], ["I", "I", "X"]])
+def test_repeated_group_elements_exit_as_input_error(tmp_path, capsys, elements):
+    mats = {"I": [[1, 0], [0, 1]], "X": [[0, 1], [1, 0]]}
+    path = write_json(tmp_path / "g.json", {"dim": 2, "elements": [mats[e] for e in elements]})
+    code, out, err = run(capsys, "orbit", "--group", path, "--base", "[[1, 0], [0, 0]]")
+    assert code == 2
+    assert out == ""
+    assert "elements 0 and 1 coincide" in err
+
+
+@pytest.mark.parametrize("dim", [True, 2.7, "2", 0])
+def test_malformed_dim_exits_as_input_error(tmp_path, capsys, dim):
+    states = [[1, 0], [0, 1]] if dim is not True else [[1]]
+    path = write_json(tmp_path / "s.json", {"dim": dim, "states": states})
+    for command in ("check", "bloch", "complete"):
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert "'dim' must be an integer" in err

@@ -23,6 +23,15 @@ def test_complex_pair_conversions():
         io.pair_to_complex([1.0, 2.0, 3.0])
 
 
+def test_matrix_reader_names_the_fault():
+    with pytest.raises(FileFormatError, match="differ in length"):
+        io.wire_to_matrix([[1, 0], [0]])
+    with pytest.raises(FileFormatError, match="expected a number"):
+        io.wire_to_matrix([[1, None], [0, 1]])
+    with pytest.raises(FileFormatError, match="expected a number"):
+        io.wire_to_vector([True, 0])
+
+
 def test_sig_rounding_is_idempotent():
     x = 1 / 3
     once = io._sig(x)
@@ -134,3 +143,49 @@ def test_povm_effects_must_be_a_non_empty_list(tmp_path, raw):
     with pytest.raises(FileFormatError, match="effects"):
         io.load_povm(write(tmp_path, "p.json", {"dim": 2, "effects": raw}))
 
+
+
+_DOCS = {
+    "states": (io.load_state_set, [[1, 0], [0, 1]]),
+    "effects": (io.load_povm, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    "elements": (io.load_group, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_DOCS))
+@pytest.mark.parametrize("dim", [True, 2.7, "2", 0, -2, None, [2]])
+def test_dim_must_be_a_positive_integer(tmp_path, key, dim):
+    load, raw = _DOCS[key]
+    with pytest.raises(FileFormatError, match="'dim' must be an integer"):
+        load(write(tmp_path, "d.json", {"dim": dim, key: raw}))
+
+
+@pytest.mark.parametrize("key", sorted(_DOCS))
+def test_integral_float_dim_is_accepted(tmp_path, key):
+    load, raw = _DOCS[key]
+    load(write(tmp_path, "d.json", {"dim": 2.0, key: raw}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("povm", [1]),
+    ("povm", {"dim": 2}),
+    ("povm", {"dim": 2, "effects": [[[1, 0], [0]]]}),
+    ("povm", {"dim": 2, "effects": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}),
+    ("weights", ["1", "2"]),
+    ("weights", [True, 1.0]),
+    ("weights", 3),
+    ("witness", [[1, 0], [0]]),
+    ("added_state", [[True, 0]]),
+    ("method", "Nope"),
+    ("method", ["SumProjection"]),
+])
+def test_certificate_from_doc_rejects_malformed_evidence(field, value):
+    doc = {"verdict": "AntidistYes", "method": "SumProjection", field: value}
+    with pytest.raises(FileFormatError):
+        io.certificate_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc", [[], "AntidistYes", {"verdict": ["AntidistYes"]}])
+def test_certificate_from_doc_needs_a_document(doc):
+    with pytest.raises(FileFormatError):
+        io.certificate_from_doc(doc)
