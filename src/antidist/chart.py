@@ -26,15 +26,13 @@ from .conditions import verify_antidistinguishing
 from .errors import CountMismatch, InvalidChart, NotNormalized, NotPsd, ShapeMismatch
 from .states import Povm, PureState, StateSet
 
-#: Frobenius tolerance for the two identity resolutions
-IDENTITY_TOL = 1e-8
-
 #: L-BFGS-B iteration caps of the primal and the dual solve
 PRIMAL_MAX_ITER = 1000
 DUAL_MAX_ITER = 1000
 
-#: the primal stops once ||sum_j M_j - I||_F is this small
-PRIMAL_TARGET = 1e-10
+#: the primal stops once ||sum_j M_j - I||_F is this small: well inside the
+#: RESIDUAL_TOL that ``Povm`` then checks, so rounding cannot push it out
+PRIMAL_TARGET = linalg.RESIDUAL_TOL / 100
 
 #: eigenvalue margin delta the dual asks of every V_j^dagger Y V_j
 DUAL_MARGIN = 1e-6
@@ -92,9 +90,9 @@ def verify_chart(chart: Chart, tol: float = linalg.DEFAULT_TOL) -> bool:
     phi = _completion_vectors(chart)
     columns = np.concatenate([psi[:, None, :], phi], axis=1)
     column_sums = np.einsum("jka,jkb->jab", columns, columns.conj())
-    if (np.linalg.norm(column_sums - eye, axis=(1, 2)) > IDENTITY_TOL).any():
+    if (np.linalg.norm(column_sums - eye, axis=(1, 2)) > linalg.RESIDUAL_TOL).any():
         return False
-    if linalg.frobenius(_effects(alphas, phi).sum(axis=0) - eye) > IDENTITY_TOL:
+    if linalg.frobenius(_effects(alphas, phi).sum(axis=0) - eye) > linalg.RESIDUAL_TOL:
         return False
     # response of outcome j: sum_k tr(P_k M(j)) = sum_l alpha_jl sum_k |<psi_k|phi_jl>|^2
     overlaps = np.abs(np.einsum("ka,jla->kjl", psi.conj(), phi)) ** 2
@@ -124,10 +122,10 @@ def chart_from_povm(states: StateSet, m: Povm, tol: float = linalg.DEFAULT_TOL) 
     completions = []
     alphas = np.zeros((n, d - 1))
     for j, (state, effect) in enumerate(zip(states.states, m.effects)):
-        if abs(np.vdot(state.vector, effect @ state.vector).real) > IDENTITY_TOL:
+        if abs(np.vdot(state.vector, effect @ state.vector).real) > tol:
             raise InvalidChart(f"effect {j} does not annihilate state {j}")
         w, v = linalg.hermitian_eigen(effect, tol)
-        kept = w > 1e-9
+        kept = w > tol
         lam, vecs = w[kept][::-1], v[:, kept][:, ::-1]
         if lam.size > d - 1:
             raise InvalidChart(f"could not complete a column for state {j}")

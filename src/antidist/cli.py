@@ -64,7 +64,7 @@ def cmd_complete(args) -> int:
         enlarged = states
         notes = "already antidistinguishable; no state added"
     else:
-        enlarged = type(states)(states.states + (added,), args.tolerance)
+        enlarged = type(states)(states.states + (added,))
         notes = "added one state to make the set antidistinguishable"
     cert = Certificate(
         Verdict.YES,
@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tolerance", type=_positive_float, default=linalg.DEFAULT_TOL,
-                       help="numeric tolerance for projector/positivity tests (default 1e-9)")
+                       help="numerical zero of every scalar a verdict rests on: exclusion"
+                       " probabilities, responses, weights, overlaps, eigenvalues"
+                       " (default %(default)g)")
 
     p = sub.add_parser("check", help="run the certificate pipeline on a state set")
     p.add_argument("states", help="state-set JSON file")

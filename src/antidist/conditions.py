@@ -16,9 +16,6 @@ from . import linalg
 from .errors import CountMismatch, DimensionOne, OverlappingSets, RankTooSmall, WrongDimension
 from .states import DensityMatrix, Povm, PureState, StateSet, first_match
 
-#: Frobenius tolerance for the identity "sum of weighted projectors = R"
-SUM_RESIDUAL_TOL = 1e-8
-
 
 @dataclass
 class SumConditionResult:
@@ -97,7 +94,7 @@ def check_sum_condition(
     r_proj = linalg.span_projector(states.vectors(), tol)
     rank = int(round(np.trace(r_proj).real))
     total = sum(w * p for w, p in zip(weights, states.densities()))
-    satisfied = bool(weights.min() > tol) and linalg.frobenius(total - r_proj) <= SUM_RESIDUAL_TOL
+    satisfied = bool(weights.min() > tol) and linalg.frobenius(total - r_proj) <= linalg.RESIDUAL_TOL
     return SumConditionResult(weights, r_proj, rank, satisfied)
 
 
@@ -118,17 +115,17 @@ def build_povm(states: StateSet, result: SumConditionResult, tol: float = linalg
     return Povm(effects, tol)
 
 
-def _psd_sqrt(m: np.ndarray, tol: float) -> np.ndarray:
-    w, v = linalg.hermitian_eigen(m, max(tol, 1e-8))
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = linalg.hermitian_eigen(m, linalg.RESIDUAL_TOL)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Squared-overlap fidelity; reduces to tr(P Q) for pure states."""
-    root = _psd_sqrt(np.asarray(rho, complex), tol)
+    root = _psd_sqrt(np.asarray(rho, complex))
     inner = root @ np.asarray(sigma, complex) @ root
-    w, _ = linalg.hermitian_eigen((inner + linalg.adjoint(inner)) / 2, max(tol, 1e-8))
+    w, _ = linalg.hermitian_eigen((inner + linalg.adjoint(inner)) / 2, linalg.RESIDUAL_TOL)
     return float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
 
 
@@ -144,12 +141,12 @@ def fidelity_bound_check(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> F
         lhs = 2.0 * float(np.triu(gram_overlaps(states), 1).sum())
     else:
         # pure pairs keep the exact overlap: fidelity() of two projectors is
-        # only good to about 1e-8
+        # only good to about RESIDUAL_TOL
         m = states.states
         lhs = 2.0 * sum(
             m[i].overlap(m[j])
             if isinstance(m[i], PureState) and isinstance(m[j], PureState)
-            else fidelity(m[i].density(), m[j].density(), tol)
+            else fidelity(m[i].density(), m[j].density())
             for i in range(n)
             for j in range(i + 1, n)
         )
@@ -168,7 +165,7 @@ def union_povm(
         raise OverlappingSets("the two sets share a state")
     if not verify_antidistinguishing(a, ma, tol) or not verify_antidistinguishing(b, mb, tol):
         raise ValueError("both input measurements must exclude their sets")
-    joined = StateSet(a.states + b.states, tol)
+    joined = StateSet(a.states + b.states)
     effects = [e / 2.0 for e in ma.effects] + [e / 2.0 for e in mb.effects]
     return joined, Povm(effects, tol)
 
@@ -203,4 +200,4 @@ def two_n_construction(
     summed = np.zeros_like(ops)
     np.add.at(summed, first, effects)
     keep = np.flatnonzero(first == np.arange(len(members)))
-    return StateSet([members[k] for k in keep], tol), Povm(summed[keep], tol)
+    return StateSet([members[k] for k in keep]), Povm(summed[keep], tol)

@@ -18,9 +18,6 @@ from . import conditions, linalg, qubit
 from .errors import FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
 from .states import Povm, PureState, StateSet, first_match
 
-#: Frobenius tolerance for "orbit sum = c * span projector"
-SCHUR_TOL = 1e-8
-
 
 class GroupRep:
     """Finite set of distinct unitaries closed under multiplication, with the identity."""
@@ -106,7 +103,7 @@ def schur_sum(orb: Orbit, tol: float = linalg.DEFAULT_TOL) -> tuple[float, np.nd
     r_proj = linalg.span_projector([m.vector for m in orb.members], tol)
     rank = int(round(np.trace(r_proj).real))
     c = len(orb.members) / rank
-    if linalg.frobenius(total - c * r_proj) > SCHUR_TOL:
+    if linalg.frobenius(total - c * r_proj) > linalg.RESIDUAL_TOL:
         raise NotScalarOnSupport("orbit sum is not proportional to the span projector")
     return c, r_proj
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .errors import AntidistError, FileFormatError
 from .group import GroupRep
 from .states import Certificate, Method, Povm, PureState, StateSet, Verdict
@@ -31,12 +31,15 @@ _NUMBERS = (int, float)
 
 
 def pair_to_complex(entry) -> complex:
-    if type(entry) in _NUMBERS:
-        return complex(entry, 0.0)
-    if type(entry) in (list, tuple) and len(entry) == 2:
-        re, im = entry
-        if type(re) in _NUMBERS and type(im) in _NUMBERS:
-            return complex(float(re), float(im))
+    try:
+        if type(entry) in _NUMBERS:
+            return complex(entry, 0.0)
+        if type(entry) in (list, tuple) and len(entry) == 2:
+            re, im = entry
+            if type(re) in _NUMBERS and type(im) in _NUMBERS:
+                return complex(float(re), float(im))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FileFormatError(f"number out of float range in {entry!r}") from exc
     raise FileFormatError(f"expected a number or [re, im] pair, got {entry!r}")
 
 
@@ -96,7 +99,7 @@ def _entries(path: str, doc, key: str) -> tuple[int, list, list | None]:
     return int(dim), raw, labels
 
 
-def load_state_set(path: str, tol: float = 1e-9) -> tuple[StateSet, list[str]]:
+def load_state_set(path: str, tol: float = linalg.DEFAULT_TOL) -> tuple[StateSet, list[str]]:
     """Read {dim, states: [vector...], labels?}; vectors are [re, im] pairs."""
     doc = _load_json(path)
     if isinstance(doc, dict) and "state_set" in doc:
@@ -116,7 +119,7 @@ def load_state_set(path: str, tol: float = 1e-9) -> tuple[StateSet, list[str]]:
     if len(labels) != len(states):
         raise FileFormatError(f"{path}: one label per state required")
     try:
-        return StateSet(states, tol), [str(x) for x in labels]
+        return StateSet(states), [str(x) for x in labels]
     except (AntidistError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -140,7 +143,7 @@ def _square_matrices(path: str, raw: list, dim: int, what: str) -> list[np.ndarr
     return mats
 
 
-def load_povm(path: str, tol: float = 1e-9) -> Povm:
+def load_povm(path: str, tol: float = linalg.DEFAULT_TOL) -> Povm:
     """Read {dim, effects: [matrix...]}; certificate files are accepted too."""
     doc = _load_json(path)
     if isinstance(doc, dict) and "effects" not in doc:
@@ -163,7 +166,7 @@ def povm_to_doc(m: Povm) -> dict:
     return {"dim": m.dim, "effects": [matrix_to_wire(e) for e in m.effects]}
 
 
-def load_group(path: str, tol: float = 1e-9) -> GroupRep:
+def load_group(path: str, tol: float = linalg.DEFAULT_TOL) -> GroupRep:
     """Read {dim, elements: [matrix...], labels?}."""
     doc = _load_json(path)
     dim, raw, labels = _entries(path, doc, "elements")
@@ -177,7 +180,10 @@ def load_group(path: str, tol: float = 1e-9) -> GroupRep:
 def _real_vector(entries) -> np.ndarray:
     if not isinstance(entries, list) or any(type(x) not in _NUMBERS for x in entries):
         raise FileFormatError(f"expected a list of real numbers, got {entries!r}")
-    return np.array(entries, dtype=float)
+    try:
+        return np.array(entries, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FileFormatError(f"number out of float range in {entries!r}") from exc
 
 
 #: optional certificate evidence: key (also the Certificate field), writer, reader
@@ -206,7 +212,7 @@ def certificate_to_doc(cert: Certificate) -> dict:
     return doc
 
 
-def certificate_from_doc(doc: dict, tol: float = 1e-9) -> Certificate:
+def certificate_from_doc(doc: dict, tol: float = linalg.DEFAULT_TOL) -> Certificate:
     """The certificate a document describes; FileFormatError when it is malformed."""
     try:
         verdict = Verdict(doc["verdict"])

@@ -13,8 +13,24 @@ import numpy as np
 
 from .errors import SingularSystem
 
-#: default tolerance for projector / positivity / unitarity tests
+#: the default ``tol`` (``--tolerance``), the numerical zero of every scalar a
+#: verdict rests on: exclusion probabilities (zero when <= tol); responses,
+#: weights and the qubit LP margin (positive when > tol); overlaps (orthogonal
+#: when <= tol); eigenvalues (>= -tol); singular values (a rank counts those
+#: > tol); the fidelity-sum excess, the witness slack, and the eigenvalues that
+#: ``chart_from_povm`` keeps (> tol).  The four constants below ignore ``tol``.
 DEFAULT_TOL = 1e-9
+
+#: Frobenius residual of an operator identity: sum_j M_j = I in a POVM,
+#: sum_j t_j P_j = R, an orbit sum = c R, a chart's columns and resolution,
+#: unit trace, and the Hermitian checks inside ``fidelity``
+RESIDUAL_TOL = 1e-8
+
+#: operator Frobenius distance at or below which two states or group elements are the same
+DUPLICATE_TOL = 1e-7
+
+#: accepted deviation of an input vector's norm from 1 (renormalized exactly)
+NORM_SLACK = 1e-6
 
 #: singular values below this fraction of the largest one make a linear
 #: system singular (a relative floor, not an absolute pivot size)
@@ -87,7 +103,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray, pivot_floor: float = PIVOT_FLOOR)
     return solution
 
 
-def _span_bases(vectors, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def span_bases(vectors, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal columns spanning span(vectors) and its orthogonal complement;
     singular values at or below ``tol`` count as zero, so any vectors will do."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
@@ -100,13 +116,13 @@ def _span_bases(vectors, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def span_projector(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the input vectors."""
-    span, _ = _span_bases(vectors, tol)
+    span, _ = span_bases(vectors, tol)
     return span @ adjoint(span)
 
 
 def orthonormal_complement(vectors, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the orthogonal complement of span(vectors)."""
-    _, comp = _span_bases(vectors, tol)
+    _, comp = span_bases(vectors, tol)
     return list(comp.T)
 
 

@@ -4,7 +4,7 @@ Order of attack for a pure state set:
 
 1. pairwise orthogonality (yes via the outcome-swapped measurement),
 2. the exact qubit decision when d = 2 (yes or no, from one LP whose
-   margin the notes give),
+   margin the notes give), and again after step 4 for a span of rank 2,
 3. the pairwise-fidelity bound (no on violation),
 4. Gram weights plus the sum-equals-projection test (yes with the
    explicit measurement),
@@ -20,7 +20,7 @@ import numpy as np
 from . import chart as chart_mod
 from . import conditions, linalg, qubit
 from .errors import SingularSystem
-from .states import Certificate, Method, StateSet, Verdict
+from .states import Certificate, Method, PureState, StateSet, Verdict
 
 
 def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
@@ -39,22 +39,7 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
         )
 
     if states.dim == 2:
-        verdict = qubit.qubit_decide(states, tol)
-        margin = f"LP margin s* = {verdict.margin:.3g}"
-        if verdict.feasible:
-            return Certificate(
-                Verdict.YES,
-                Method.QUBIT_BLOCH,
-                weights=verdict.weights,
-                bloch_weights=verdict.weights,
-                povm=verdict.povm,
-                notes=f"strictly positive weights cancel the Bloch vectors; {margin}",
-            )
-        return Certificate(
-            Verdict.NO,
-            Method.QUBIT_BLOCH,
-            notes=f"no strictly positive weights cancel the Bloch vectors; {margin}",
-        )
+        return _qubit_certificate(states, None, tol)
 
     bound = conditions.fidelity_bound_check(states, tol)
     if bound.violated:
@@ -80,6 +65,10 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
                 notes="weighted projector sum equals the span projector",
             )
 
+    span, _ = linalg.span_bases(states.vectors(), tol)
+    if span.shape[1] == 2:
+        return _qubit_certificate(states, span, tol)
+
     solved = chart_mod.solve_chart(states, tol)
     if solved.povm is not None:
         return Certificate(
@@ -102,3 +91,26 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
             f"dual eps {solved.eps:.3e}; absence is not a refutation"
         ),
     )
+
+
+def _qubit_certificate(states: StateSet, span: np.ndarray | None, tol: float) -> Certificate:
+    """The qubit LP's verdict on the states (``span`` None, d = 2) or on their unit
+    coordinates in the orthonormal columns ``span`` of a rank-2 span.  There a YES
+    lifts by ``build_povm`` (R = span span^dagger, r = 2) applied to those unit
+    coordinates mapped back into the span, so its effects sum to I exactly even
+    when the rank dropped singular values up to ``tol``."""
+    plane, r_proj = states, None
+    if span is not None:
+        coords = np.array(states.vectors()) @ span.conj()
+        coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+        plane, r_proj = StateSet([PureState(c) for c in coords]), span @ linalg.adjoint(span)
+    verdict = qubit.qubit_decide(plane, tol)
+    notes = f"strictly positive weights cancel the Bloch vectors; LP margin s* = {verdict.margin:.3g}"
+    if not verdict.feasible:
+        return Certificate(Verdict.NO, Method.QUBIT_BLOCH, notes="no " + notes)
+    povm, w = verdict.povm, verdict.weights
+    if span is not None:
+        lifted = StateSet([PureState(span @ c) for c in coords])
+        povm = conditions.build_povm(lifted, conditions.SumConditionResult(w, r_proj, 2, True), tol)
+    return Certificate(Verdict.YES, Method.QUBIT_BLOCH, weights=w, bloch_weights=w,
+                       projector_r=r_proj, povm=povm, notes=notes)

@@ -29,9 +29,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
-#: strict-positivity threshold defining "positive real numbers"
-FEAS_EPS = 1e-9
-
 
 @dataclass
 class QubitVerdict:
@@ -66,7 +63,7 @@ def state_from_bloch(r) -> PureState:
     if r.shape != (3,):
         raise ValueError("a Bloch vector has three components")
     nrm = float(np.linalg.norm(r))
-    if abs(nrm - 1.0) > 1e-6:
+    if abs(nrm - 1.0) > linalg.NORM_SLACK:
         raise ValueError("a pure state needs a unit Bloch vector")
     x, y, z = r / nrm
     theta = np.arccos(np.clip(z, -1.0, 1.0))
@@ -118,7 +115,7 @@ def qubit_decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> QubitVerd
     validated as a ``Povm``, before the verdict is returned.
     """
     margin, weights = _max_min_weights(bloch_vectors(states))
-    if margin <= FEAS_EPS or weights.min() <= FEAS_EPS:
+    if margin <= tol or weights.min() <= tol:
         return QubitVerdict(False, margin=margin)
     return QubitVerdict(True, weights=weights, margin=margin, povm=exclusion_povm(states, weights))
 
@@ -147,7 +144,7 @@ def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
     rvecs = bloch_vectors(states)
     total = rvecs.sum(axis=0)
     nrm = float(np.linalg.norm(total))
-    if nrm <= FEAS_EPS:
+    if nrm <= tol:
         raise RuntimeError("zero Bloch sum contradicts the infeasible verdict")
     direction = -total / nrm
     added = state_from_bloch(direction)

@@ -22,9 +22,7 @@ from .errors import (
     NotPsd,
     ZeroVector,
 )
-
-#: operator Frobenius distance at or below which two states or group elements are "the same"
-DUPLICATE_TOL = 1e-7
+from .linalg import DUPLICATE_TOL, NORM_SLACK
 
 
 def first_match(known, ops) -> np.ndarray:
@@ -48,13 +46,6 @@ def first_match(known, ops) -> np.ndarray:
     np.minimum.at(out, rows[hit], cols[hit])
     out[out == len(a)] = -1
     return out
-
-
-#: accepted deviation of an input vector's norm from 1 (renormalized exactly)
-NORM_SLACK = 1e-6
-
-#: entrywise tolerance for the POVM normalization sum
-POVM_SUM_TOL = 1e-8
 
 
 class Verdict(str, Enum):
@@ -121,7 +112,7 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if not linalg.is_psd(m, tol):
             raise ValueError("density matrix must be Hermitian and positive semidefinite")
-        if abs(float(np.trace(m).real) - 1.0) > max(tol, 1e-8):
+        if abs(float(np.trace(m).real) - 1.0) > linalg.RESIDUAL_TOL:
             raise ValueError("density matrix must have unit trace")
         self.dim = m.shape[0]
         self.matrix = m
@@ -150,8 +141,8 @@ class Povm:
         failing = ~linalg.is_psd(stack, tol)
         if failing.any():
             raise NotPsd(int(np.argmax(failing)))
-        residual = float(np.abs(stack.sum(axis=0) - np.eye(d)).max())
-        if residual > POVM_SUM_TOL:
+        residual = linalg.frobenius(stack.sum(axis=0) - np.eye(d))
+        if residual > linalg.RESIDUAL_TOL:
             raise NotNormalized(residual)
         self.dim = d
         self.effects = tuple(mats)
@@ -168,7 +159,7 @@ class StateSet:
 
     __slots__ = ("dim", "states")
 
-    def __init__(self, states, tol: float = linalg.DEFAULT_TOL):
+    def __init__(self, states):
         members = tuple(states)
         if not members:
             raise ValueError("a state set needs at least one state")

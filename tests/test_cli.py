@@ -130,6 +130,12 @@ def test_non_list_state_entries_exit_as_input_error(tmp_path, capsys, command):
     assert "error" in err
 
 
+def test_integer_beyond_float_range_exits_as_input_error(tmp_path, capsys):
+    path = write_json(tmp_path / "big.json", {"dim": 2, "states": [[10**400, 0], [0, 1]]})
+    code, _, err = run(capsys, "check", path)
+    assert code == 2 and err.startswith("error:") and "float range" in err
+
+
 def test_string_labels_exit_as_input_error(tmp_path, capsys):
     doc = {"dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "labels": "ab"}
     code, out, err = run(capsys, "check", write_json(tmp_path / "labels.json", doc))

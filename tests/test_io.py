@@ -166,6 +166,17 @@ def test_integral_float_dim_is_accepted(tmp_path, key):
     load(write(tmp_path, "d.json", {"dim": 2.0, key: raw}))
 
 
+@pytest.mark.parametrize("load, doc", [
+    (io.load_state_set, {"dim": 2, "states": [[10**400, 0], [0, 1]]}),
+    (io.load_povm, {"dim": 2, "effects": [[[[1, 10**400], 0], [0, 0]], [[0, 0], [0, 1]]]}),
+    (io.load_group, {"dim": 2, "elements": [[[1, 0], [0, -10**400]]]}),
+    (io.load_povm, {"verdict": "AntidistYes", "povm": {"dim": 1, "effects": [[[10**400]]]}}),
+])
+def test_integers_beyond_float_range_are_format_errors(tmp_path, load, doc):
+    with pytest.raises(FileFormatError, match="float range"):
+        load(write(tmp_path, "big.json", doc))
+
+
 @pytest.mark.parametrize("field, value", [
     ("povm", [1]),
     ("povm", {"dim": 2}),
@@ -178,6 +189,8 @@ def test_integral_float_dim_is_accepted(tmp_path, key):
     ("added_state", [[True, 0]]),
     ("method", "Nope"),
     ("method", ["SumProjection"]),
+    ("weights", [10**400, 1.0]),
+    ("witness", [[10**400, 0], [0, 0]]),
 ])
 def test_certificate_from_doc_rejects_malformed_evidence(field, value):
     doc = {"verdict": "AntidistYes", "method": "SumProjection", field: value}

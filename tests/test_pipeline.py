@@ -118,8 +118,8 @@ def test_pair_equivalence_distinguishable_iff_antidistinguishable():
 def test_singular_gram_routes_to_search_not_crash():
     # four coplanar qubit-subspace states embedded in dimension 3 have
     # operator-dependent projectors, so the weight system is singular;
-    # the pipeline must fall through to the chart solve cleanly, which
-    # finds the measurement of the underlying qubit square
+    # the pipeline must fall through cleanly to the qubit decision on
+    # their rank-2 span, which finds the measurement of the qubit square
     from antidist import solve_weights
     from antidist.errors import SingularSystem
 
@@ -132,8 +132,49 @@ def test_singular_gram_routes_to_search_not_crash():
     with pytest.raises(SingularSystem):
         solve_weights(sset)
     cert = decide(sset)
+    assert cert.verdict is Verdict.YES and cert.method is Method.QUBIT_BLOCH
+    assert verify_antidistinguishing(sset, cert.povm)
+
+    # ten states in C^3 outnumber the nine Hermitian dimensions, so the weight
+    # system is singular too, but their span has rank 3: the chart solve decides
+    rng = np.random.default_rng(5)
+    sset = StateSet([helpers.random_pure(3, rng) for _ in range(10)])
+    with pytest.raises(SingularSystem):
+        solve_weights(sset)
+    cert = decide(sset)
     assert cert.verdict is Verdict.YES and cert.method is Method.CHART
     assert verify_antidistinguishing(sset, cert.povm)
+
+
+def _hull_boundary_bloch(rng) -> np.ndarray:
+    """{a, -a} and one to three points strictly on one side of a plane through
+    a: the origin lies on the hull's boundary, so the LP margin is exactly 0."""
+    a = helpers.random_rotation(rng)[0]
+    normal = np.cross(a, rng.standard_normal(3))
+    rows = rng.standard_normal((int(rng.integers(1, 4)), 3))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows *= np.sign(rows @ normal)[:, None]
+    return np.vstack([a, -a, rows])
+
+
+def test_rank_two_span_gets_the_qubit_lp_verdict():
+    # a set whose span has rank 2 is the qubit set of its coordinates there
+    from antidist import bloch_vectors
+
+    rng = np.random.default_rng(157)
+    for k in range(40):
+        if k % 2:
+            qset = helpers.random_qubit_set(int(rng.integers(3, 7)), rng)
+        else:
+            qset = StateSet([state_from_bloch(r) for r in _hull_boundary_bloch(rng)])
+        expect = helpers.linprog_strictly_feasible(bloch_vectors(qset))
+        for d in (3, 5):
+            isometry = helpers.haar_unitary(d, rng)[:, :2]
+            sset = StateSet([PureState(isometry @ v) for v in qset.vectors()])
+            cert = decide(sset)
+            assert cert.verdict is (Verdict.YES if expect else Verdict.NO), (k, d, cert.notes)
+            if cert.verdict is Verdict.YES:
+                assert verify_antidistinguishing(sset, cert.povm)
 
 
 def test_yes_certificates_always_carry_verifying_povm():
