@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .states import (  # noqa: F401
     Certificate,
-    DensityMatrix,
     Method,
     Povm,
     PureState,
@@ -17,7 +16,6 @@ from .conditions import (  # noqa: F401
     SumConditionResult,
     build_povm,
     check_sum_condition,
-    fidelity,
     fidelity_bound_check,
     gram_overlaps,
     is_distinguishable,

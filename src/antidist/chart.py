@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 from . import linalg
 from .conditions import verify_antidistinguishing
 from .errors import CountMismatch, InvalidChart, NotNormalized, NotPsd, ShapeMismatch
-from .states import Povm, PureState, StateSet
+from .states import Povm, StateSet
 
 #: L-BFGS-B iteration caps of the primal and the dual solve
 PRIMAL_MAX_ITER = 1000
@@ -42,34 +42,21 @@ DUAL_MARGIN = 1e-6
 class Chart:
     """States, their orthonormal completions, and coefficients alpha.
 
-    completions[j] holds the d-1 pure states completing state j;
-    alphas has shape (n, d-1), entry [j, k] weighting completions[j][k].
+    completions has shape (n, d-1, d): row [j, k] is completion vector k of
+    state j; alphas has shape (n, d-1), entry [j, k] weighting completions[j, k].
     """
 
     states: StateSet
-    completions: tuple[tuple[PureState, ...], ...]
+    completions: np.ndarray
     alphas: np.ndarray
 
 
 def _check_shapes(chart: Chart) -> None:
     n, d = chart.states.n, chart.states.dim
-    if len(chart.completions) != n:
-        raise ShapeMismatch("one completion column per state required")
-    for col in chart.completions:
-        if len(col) != d - 1:
-            raise ShapeMismatch("each column needs d - 1 completion states")
-        if any(s.dim != d for s in col):
-            raise ShapeMismatch("completion states live in the wrong dimension")
-    alphas = np.asarray(chart.alphas, dtype=float)
-    if alphas.shape != (n, d - 1):
+    if np.shape(chart.completions) != (n, d - 1, d):
+        raise ShapeMismatch(f"completions must have shape {(n, d - 1, d)}")
+    if np.shape(chart.alphas) != (n, d - 1):
         raise ShapeMismatch(f"alphas must have shape {(n, d - 1)}")
-
-
-def _completion_vectors(chart: Chart) -> np.ndarray:
-    """Completion vectors as an (n, d-1, d) stack: [j, k] is completion k of state j."""
-    n, d = chart.states.n, chart.states.dim
-    vecs = [s.vector for col in chart.completions for s in col]
-    return np.array(vecs, dtype=complex).reshape(n, d - 1, d)
 
 
 def _effects(alphas: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -80,14 +67,13 @@ def _effects(alphas: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def verify_chart(chart: Chart, tol: float = linalg.DEFAULT_TOL) -> bool:
     """Check the three chart identities (columns, resolution, response)."""
     _check_shapes(chart)
-    chart.states.require_pure("chart verification")
     d = chart.states.dim
     alphas = np.asarray(chart.alphas, dtype=float)
     if alphas.min() < -tol or alphas.max() > 1.0 + tol:
         return False
     eye = np.eye(d)
-    psi = np.array(chart.states.vectors())
-    phi = _completion_vectors(chart)
+    psi = chart.states.vectors
+    phi = np.asarray(chart.completions, dtype=complex)
     columns = np.concatenate([psi[:, None, :], phi], axis=1)
     column_sums = np.einsum("jka,jkb->jab", columns, columns.conj())
     if (np.linalg.norm(column_sums - eye, axis=(1, 2)) > linalg.RESIDUAL_TOL).any():
@@ -104,7 +90,7 @@ def povm_from_chart(chart: Chart, tol: float = linalg.DEFAULT_TOL) -> Povm:
     if not verify_chart(chart, tol):
         raise InvalidChart("chart identities do not hold")
     alphas = np.asarray(chart.alphas, dtype=float)
-    return Povm(list(_effects(alphas, _completion_vectors(chart))), tol)
+    return Povm(_effects(alphas, np.asarray(chart.completions, dtype=complex)), tol)
 
 
 def chart_from_povm(states: StateSet, m: Povm, tol: float = linalg.DEFAULT_TOL) -> Chart:
@@ -115,24 +101,23 @@ def chart_from_povm(states: StateSet, m: Povm, tol: float = linalg.DEFAULT_TOL) 
     the column is padded with zero-coefficient directions orthogonal to
     both the state and the kept eigenvectors.
     """
-    states.require_pure("chart recovery")
     if len(m.effects) != states.n:
         raise CountMismatch(f"{len(m.effects)} effects for {states.n} states")
     n, d = states.n, states.dim
     completions = []
     alphas = np.zeros((n, d - 1))
-    for j, (state, effect) in enumerate(zip(states.states, m.effects)):
-        if abs(np.vdot(state.vector, effect @ state.vector).real) > tol:
+    for j, (psi, effect) in enumerate(zip(states.vectors, m.effects)):
+        if abs(np.vdot(psi, effect @ psi).real) > tol:
             raise InvalidChart(f"effect {j} does not annihilate state {j}")
         w, v = linalg.hermitian_eigen(effect, tol)
         kept = w > tol
         lam, vecs = w[kept][::-1], v[:, kept][:, ::-1]
         if lam.size > d - 1:
             raise InvalidChart(f"could not complete a column for state {j}")
-        basis = linalg.orthonormal_columns(np.column_stack([state.vector, vecs]), complete=True)
+        basis = linalg.orthonormal_columns(np.column_stack([psi, vecs]), complete=True)
         alphas[j, : lam.size] = np.minimum(lam, 1.0)
-        completions.append(tuple(PureState(u) for u in basis[:, 1:].T))
-    return Chart(states, tuple(completions), alphas)
+        completions.append(basis[:, 1:].T)
+    return Chart(states, np.array(completions), alphas)
 
 
 @dataclass
@@ -144,12 +129,6 @@ class ChartSolution:
     witness: np.ndarray | None
     residual: float
     eps: float | None = None
-
-
-def _complements(states: StateSet) -> np.ndarray:
-    """(n, d, d-1) stack of isometries V_j onto the complement of state j."""
-    comps = [linalg.orthonormal_complement([v]) for v in states.vectors()]
-    return np.array(comps).transpose(0, 2, 1)
 
 
 def _deficit(v: np.ndarray, y: np.ndarray) -> float:
@@ -170,7 +149,7 @@ def verify_witness(states: StateSet, witness, tol: float = linalg.DEFAULT_TOL) -
     if d < 2 or y.shape != (d, d) or not linalg.is_hermitian(y, tol):
         return False
     y = (y + linalg.adjoint(y)) / 2.0
-    return bool(np.trace(y).real < -d * _deficit(_complements(states), y) - tol)
+    return bool(np.trace(y).real < -d * _deficit(linalg.complements(states.vectors), y) - tol)
 
 
 def _primal(v: np.ndarray) -> np.ndarray:
@@ -227,16 +206,15 @@ def solve_chart(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> ChartSolut
     dual solution when the primal optimum is infeasible, scaled to trace -1),
     and its Y is returned only if ``verify_witness`` accepts it.
     """
-    states.require_pure("the chart solve")
     if states.dim < 2:
         raise ShapeMismatch("charts need dimension >= 2")
     d = states.dim
-    v = _complements(states)
+    v = linalg.complements(states.vectors)
     effects = _primal(v)
     r = effects.sum(axis=0) - np.eye(d)
     residual = linalg.frobenius(r)
     with suppress(NotNormalized, NotPsd):
-        povm = Povm(list(effects), tol)
+        povm = Povm(effects, tol)
         if verify_antidistinguishing(states, povm, tol):
             return ChartSolution(povm, None, residual)
     trace = float(np.trace(r).real)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import conditions, group, io, linalg, pipeline, qubit
 from .errors import AntidistError, FileFormatError
-from .states import Certificate, Method, PureState, Verdict
+from .states import Certificate, Method, PureState, StateSet, Verdict
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -41,14 +41,14 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def cmd_check(args) -> int:
-    states, _ = io.load_state_set(args.states, args.tolerance)
+    states, _ = io.load_state_set(args.states)
     cert = pipeline.decide(states, tol=args.tolerance)
     _emit(io.certificate_to_doc(cert), args.output)
     return _VERDICT_EXIT[cert.verdict]
 
 
 def cmd_verify(args) -> int:
-    states, _ = io.load_state_set(args.states, args.tolerance)
+    states, _ = io.load_state_set(args.states)
     povm = io.load_povm(args.povm, args.tolerance)
     ok = conditions.verify_antidistinguishing(states, povm, args.tolerance)
     print("verified" if ok else "not antidistinguishing")
@@ -56,7 +56,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    states, _ = io.load_state_set(args.states, args.tolerance)
+    states, _ = io.load_state_set(args.states)
     if states.dim != 2:
         raise FileFormatError("completion by one state works for qubits only")
     added, verdict = qubit.qubit_complete(states, args.tolerance)
@@ -64,7 +64,7 @@ def cmd_complete(args) -> int:
         enlarged = states
         notes = "already antidistinguishable; no state added"
     else:
-        enlarged = type(states)(states.states + (added,))
+        enlarged = StateSet.join(states, added)
         notes = "added one state to make the set antidistinguishable"
     cert = Certificate(
         Verdict.YES,
@@ -119,10 +119,10 @@ def cmd_orbit(args) -> int:
         base = _named_base(args.base, rep.dim)
     if base is None:
         raise FileFormatError("--base is required for representations loaded from a file")
-    orb = group.orbit(rep, base, args.tolerance)
+    orb = group.orbit(rep, base)
     c, r_proj = group.schur_sum(orb, args.tolerance)
     povm = group.covariant_povm(orb, c, r_proj, args.tolerance)
-    members = orb.to_state_set()
+    members = orb.members
     cert = Certificate(
         Verdict.YES,
         Method.GROUP_ORBIT,
@@ -146,11 +146,10 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_bloch(args) -> int:
-    states, labels = io.load_state_set(args.states, args.tolerance)
+    states, labels = io.load_state_set(args.states)
     if states.dim != 2:
         raise FileFormatError("Bloch coordinates exist for qubit sets only")
-    for label, state in zip(labels, states.states):
-        x, y, z = qubit.bloch_from_state(state)
+    for label, (x, y, z) in zip(labels, qubit.bloch_vectors(states)):
         print(f"{label}\t{x:.12g}\t{y:.12g}\t{z:.12g}")
     return EXIT_YES
 
@@ -214,7 +213,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help (code 0) or the error
+        return 0 if exc.code == 0 else EXIT_ERROR
     try:
         # looked up per call, so a replaced cmd_* function is the one that runs
         return globals()[f"cmd_{args.command}"](args)

@@ -45,10 +45,6 @@ class WrongDimension(AntidistError, ValueError):
     """Operation restricted to a specific Hilbert-space dimension."""
 
 
-class MixedStateInput(AntidistError, ValueError):
-    """A decision procedure that requires pure states received a mixed one."""
-
-
 class OverlappingSets(AntidistError, ValueError):
     """The two state sets to be united share a state."""
 

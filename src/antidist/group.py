@@ -16,7 +16,7 @@ import numpy as np
 
 from . import conditions, linalg, qubit
 from .errors import FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
-from .states import Povm, PureState, StateSet, first_match
+from .states import Povm, PureState, StateSet, first_match, projectors_of, unit_rows
 
 
 class GroupRep:
@@ -70,26 +70,23 @@ class Orbit:
     """Distinct images of a base state under a representation."""
 
     base: PureState
-    members: tuple[PureState, ...]
+    members: StateSet
     stabilizer_order: int
 
-    def to_state_set(self) -> StateSet:
-        return StateSet(self.members)
 
-
-def orbit(rep: GroupRep, base: PureState, tol: float = linalg.DEFAULT_TOL) -> Orbit:
+def orbit(rep: GroupRep, base: PureState) -> Orbit:
     """Orbit of a pure state, deduplicated as projectors."""
     if base.dim != rep.dim:
         raise WrongDimension("base state and representation dimensions differ")
-    images = [PureState(u @ base.vector, tol) for u in rep.elements]
-    ops = np.stack([m.projector for m in images])
+    images = np.stack(rep.elements) @ base.vector
+    ops = projectors_of(unit_rows(images))
     first = first_match(ops, ops)
-    members = [m for k, m in enumerate(images) if first[k] == k]
-    if len(members) < 2:
+    keep = np.flatnonzero(first == np.arange(len(ops)))
+    if keep.size < 2:
         raise FixedPoint("the base state is fixed by every group element")
-    if rep.order % len(members) != 0:
+    if rep.order % keep.size != 0:
         raise ValueError("orbit size does not divide the group order; check tolerances")
-    return Orbit(base, tuple(members), rep.order // len(members))
+    return Orbit(base, StateSet(images[keep]), rep.order // keep.size)
 
 
 def schur_sum(orb: Orbit, tol: float = linalg.DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -99,10 +96,10 @@ def schur_sum(orb: Orbit, tol: float = linalg.DEFAULT_TOL) -> tuple[float, np.nd
     NotScalarOnSupport when the representation is not irreducible on the
     span of the orbit.
     """
-    total = sum(m.projector for m in orb.members)
-    r_proj = linalg.span_projector([m.vector for m in orb.members], tol)
+    total = orb.members.projectors.sum(axis=0)
+    r_proj = linalg.span_projector(orb.members.vectors, tol)
     rank = int(round(np.trace(r_proj).real))
-    c = len(orb.members) / rank
+    c = orb.members.n / rank
     if linalg.frobenius(total - c * r_proj) > linalg.RESIDUAL_TOL:
         raise NotScalarOnSupport("orbit sum is not proportional to the span projector")
     return c, r_proj
@@ -112,15 +109,14 @@ def covariant_povm(
     orb: Orbit, c: float, r_proj: np.ndarray, tol: float = linalg.DEFAULT_TOL
 ) -> Povm:
     """Excluding measurement for an orbit with uniform weights 1/c."""
-    members = orb.to_state_set()
     rank = int(round(np.trace(r_proj).real))
     result = conditions.SumConditionResult(
-        weights=np.full(members.n, 1.0 / c),
+        weights=np.full(orb.members.n, 1.0 / c),
         projector_r=r_proj,
         rank_r=rank,
         satisfied=True,
     )
-    return conditions.build_povm(members, result, tol)
+    return conditions.build_povm(orb.members, result, tol)
 
 
 def builtin_quaternion() -> GroupRep:

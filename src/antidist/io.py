@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__, linalg
 from .errors import AntidistError, FileFormatError
 from .group import GroupRep
-from .states import Certificate, Method, Povm, PureState, StateSet, Verdict
+from .states import Certificate, Method, Povm, StateSet, Verdict
 
 
 def _sig(x: float) -> float:
@@ -99,29 +99,25 @@ def _entries(path: str, doc, key: str) -> tuple[int, list, list | None]:
     return int(dim), raw, labels
 
 
-def load_state_set(path: str, tol: float = linalg.DEFAULT_TOL) -> tuple[StateSet, list[str]]:
+def load_state_set(path: str) -> tuple[StateSet, list[str]]:
     """Read {dim, states: [vector...], labels?}; vectors are [re, im] pairs."""
     doc = _load_json(path)
     if isinstance(doc, dict) and "state_set" in doc:
         doc = doc["state_set"]
     dim, raw, labels = _entries(path, doc, "states")
-    states = []
-    for k, entry in enumerate(raw):
-        vec = wire_to_vector(entry)
+    rows = [wire_to_vector(entry) for entry in raw]
+    for k, vec in enumerate(rows):
         if vec.size != dim:
             raise FileFormatError(f"{path}: state {k} has {vec.size} entries, expected {dim}")
-        try:
-            states.append(PureState(vec, tol))
-        except AntidistError as exc:
-            raise FileFormatError(f"{path}: state {k}: {exc}") from exc
-    if labels is None:
-        labels = [f"s{k}" for k in range(len(states))]
-    if len(labels) != len(states):
-        raise FileFormatError(f"{path}: one label per state required")
     try:
-        return StateSet(states), [str(x) for x in labels]
+        states = StateSet(rows)
     except (AntidistError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    if labels is None:
+        labels = [f"s{k}" for k in range(states.n)]
+    if len(labels) != states.n:
+        raise FileFormatError(f"{path}: one label per state required")
+    return states, [str(x) for x in labels]
 
 
 def state_set_to_doc(states: StateSet, labels=None) -> dict:
@@ -129,7 +125,7 @@ def state_set_to_doc(states: StateSet, labels=None) -> dict:
         labels = [f"s{k}" for k in range(states.n)]
     return {
         "dim": states.dim,
-        "states": [vector_to_wire(v) for v in states.vectors()],
+        "states": [vector_to_wire(v) for v in states.vectors],
         "labels": list(labels),
     }
 

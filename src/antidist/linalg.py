@@ -3,8 +3,10 @@
 Operators live in plain numpy arrays (complex128); real linear systems in
 float64.  Each routine wraps a LAPACK call (through numpy) in the condition
 its callers rely on: ``eigh``/``eigvalsh`` after a Hermitian check, ``lstsq``
-with a rank test, one SVD for span and complement bases, and a QR with a
-positive R diagonal, which is the ordered Gram-Schmidt basis.
+with a rank test, one SVD for span and complement bases (batched over the
+rows of a state set for the complement of each state), and a QR with a
+positive R diagonal, which is the ordered Gram-Schmidt basis.  State vectors
+come as the rows of an (n, d) array.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from .errors import SingularSystem
 DEFAULT_TOL = 1e-9
 
 #: Frobenius residual of an operator identity: sum_j M_j = I in a POVM,
-#: sum_j t_j P_j = R, an orbit sum = c R, a chart's columns and resolution,
-#: unit trace, and the Hermitian checks inside ``fidelity``
+#: sum_j t_j P_j = R, an orbit sum = c R, a chart's columns and resolution
 RESIDUAL_TOL = 1e-8
 
 #: operator Frobenius distance at or below which two states or group elements are the same
@@ -104,12 +105,13 @@ def solve_linear(a: np.ndarray, b: np.ndarray, pivot_floor: float = PIVOT_FLOOR)
 
 
 def span_bases(vectors, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal columns spanning span(vectors) and its orthogonal complement;
-    singular values at or below ``tol`` count as zero, so any vectors will do."""
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if not vecs:
+    """Orthonormal columns spanning the span of the rows of ``vectors`` (n, d) and
+    its orthogonal complement; singular values at or below ``tol`` count as zero,
+    so any vectors will do."""
+    rows = np.asarray(vectors, dtype=complex)
+    if not rows.size:
         raise ValueError("a span needs at least one vector")
-    u, s, _ = np.linalg.svd(np.column_stack(vecs))
+    u, s, _ = np.linalg.svd(rows.reshape(len(rows), -1).T)
     rank = int((s > tol).sum())
     return u[:, :rank], u[:, rank:]
 
@@ -120,10 +122,10 @@ def span_projector(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     return span @ adjoint(span)
 
 
-def orthonormal_complement(vectors, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the orthogonal complement of span(vectors)."""
-    _, comp = span_bases(vectors, tol)
-    return list(comp.T)
+def complements(vectors: np.ndarray) -> np.ndarray:
+    """(n, d, d-1) stack of isometries: the columns of slice j are an orthonormal
+    basis of the orthogonal complement of row j of the (n, d) unit ``vectors``."""
+    return np.linalg.svd(vectors[:, :, None])[0][:, :, 1:]
 
 
 def orthonormal_columns(a: np.ndarray, complete: bool = False) -> np.ndarray:

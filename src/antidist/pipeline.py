@@ -20,12 +20,11 @@ import numpy as np
 from . import chart as chart_mod
 from . import conditions, linalg, qubit
 from .errors import SingularSystem
-from .states import Certificate, Method, PureState, StateSet, Verdict
+from .states import Certificate, Method, StateSet, Verdict
 
 
 def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
     """Run the full certificate pipeline on a pure state set."""
-    states.require_pure("the decision pipeline")
     n = states.n
 
     if n >= 2 and conditions.is_distinguishable(states, tol):
@@ -65,7 +64,7 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
                 notes="weighted projector sum equals the span projector",
             )
 
-    span, _ = linalg.span_bases(states.vectors(), tol)
+    span, _ = linalg.span_bases(states.vectors, tol)
     if span.shape[1] == 2:
         return _qubit_certificate(states, span, tol)
 
@@ -101,16 +100,17 @@ def _qubit_certificate(states: StateSet, span: np.ndarray | None, tol: float) ->
     when the rank dropped singular values up to ``tol``."""
     plane, r_proj = states, None
     if span is not None:
-        coords = np.array(states.vectors()) @ span.conj()
+        coords = states.vectors @ span.conj()
         coords /= np.linalg.norm(coords, axis=1, keepdims=True)
-        plane, r_proj = StateSet([PureState(c) for c in coords]), span @ linalg.adjoint(span)
+        plane, r_proj = StateSet(coords), span @ linalg.adjoint(span)
     verdict = qubit.qubit_decide(plane, tol)
     notes = f"strictly positive weights cancel the Bloch vectors; LP margin s* = {verdict.margin:.3g}"
     if not verdict.feasible:
         return Certificate(Verdict.NO, Method.QUBIT_BLOCH, notes="no " + notes)
     povm, w = verdict.povm, verdict.weights
     if span is not None:
-        lifted = StateSet([PureState(span @ c) for c in coords])
+        # span @ c for each row c: a stacked product rounds as the single one does
+        lifted = StateSet((span @ coords[:, :, None])[:, :, 0])
         povm = conditions.build_povm(lifted, conditions.SumConditionResult(w, r_proj, 2, True), tol)
     return Certificate(Verdict.YES, Method.QUBIT_BLOCH, weights=w, bloch_weights=w,
                        projector_r=r_proj, povm=povm, notes=notes)

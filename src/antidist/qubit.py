@@ -75,8 +75,7 @@ def bloch_vectors(states: StateSet) -> np.ndarray:
     """n x 3 array of Bloch vectors for a pure qubit set."""
     if states.dim != 2:
         raise WrongDimension("Bloch vectors exist for dimension 2 only")
-    states.require_pure("the qubit decision")
-    return _bloch(np.array(states.vectors()))
+    return _bloch(states.vectors)
 
 
 def _max_min_weights(rvecs: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -125,8 +124,7 @@ def exclusion_povm(states: StateSet, weights) -> Povm:
     if states.dim != 2:
         raise WrongDimension("the orthocomplement measurement is qubit-specific")
     weights = np.asarray(weights, dtype=float)
-    eye = np.eye(2)
-    return Povm([w * (eye - s.projector) for w, s in zip(weights, states.states)])
+    return Povm(weights[:, None, None] * (np.eye(2) - states.projectors))
 
 
 def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
@@ -148,7 +146,7 @@ def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
         raise RuntimeError("zero Bloch sum contradicts the infeasible verdict")
     direction = -total / nrm
     added = state_from_bloch(direction)
-    if first_match(np.stack(states.densities()), added.projector[None])[0] >= 0:
+    if first_match(states.projectors, added.projector[None])[0] >= 0:
         raise RuntimeError("completion coincides with a member; set should be feasible")
     weights = np.full(states.n + 1, 1.0 / nrm)
     weights[-1] = 1.0

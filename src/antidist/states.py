@@ -1,6 +1,9 @@
-"""Value types: pure states, density matrices, POVMs, state sets, certificates.
+"""Value types: pure states, POVMs, state sets, certificates.
 
-Global phase is quotiented out by working with projectors.  Sameness has
+Every state is pure.  A ``StateSet`` is one (n, d) array of unit rows with the
+(n, d, d) stack of their projectors, and a ``Povm`` one (k, d, d) stack of
+effects; ``unit_rows`` validates and normalizes every state vector that
+enters.  Global phase is quotiented out by working with projectors.  Sameness has
 one test, ``first_match``: two states or group elements are the same when
 their operators lie within the fixed Frobenius distance ``DUPLICATE_TOL``,
 which neither ``tol`` arguments nor the CLI's ``--tolerance`` move.
@@ -14,14 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DuplicateState,
-    MixedStateInput,
-    NormOutOfRange,
-    NotNormalized,
-    NotPsd,
-    ZeroVector,
-)
+from .errors import DuplicateState, NormOutOfRange, NotNormalized, NotPsd, ZeroVector
 from .linalg import DUPLICATE_TOL, NORM_SLACK
 
 
@@ -66,11 +62,36 @@ class Method(str, Enum):
     TWO_N = "TwoNConstruction"
 
 
-def _as_finite_complex(data, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=complex)
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
-        raise ValueError(f"{what} contains non-finite entries")
-    return arr
+def unit_rows(rows) -> np.ndarray:
+    """The (n, d) complex array ``rows`` with every row divided by its norm.
+
+    Raises ValueError for a non-finite entry, ZeroVector for a zero row and
+    NormOutOfRange for a norm further than ``NORM_SLACK`` from 1, each naming
+    the first bad row as "state k".
+    """
+    v = np.asarray(rows, dtype=complex)
+    if v.ndim != 2:
+        raise ValueError("states must be vectors of one length")
+    finite = np.isfinite(v).all(axis=1)
+    # per row the two real dot products that np.linalg.norm forms for one vector,
+    # so a row normalizes to the same bits alone or in a batch
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0]
+    bad = ~finite | (np.abs(norms - 1.0) > NORM_SLACK)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise ValueError(f"state {k}: non-finite entries")
+        if norms[k] == 0:
+            raise ZeroVector(f"state {k}: zero norm")
+        raise NormOutOfRange(f"state {k}: norm {norms[k]:.9f} deviates from 1 by more than {NORM_SLACK}")
+    return v / norms[:, None]
+
+
+def projectors_of(vectors: np.ndarray) -> np.ndarray:
+    """The (n, d, d) stack of |v><v| for the rows v of an (n, d) array (the
+    same product as ``np.outer``, which an einsum would round differently)."""
+    return vectors[:, :, None] * vectors.conj()[:, None, :]
 
 
 class PureState:
@@ -78,74 +99,41 @@ class PureState:
 
     __slots__ = ("dim", "vector", "projector")
 
-    def __init__(self, vector, tol: float = linalg.DEFAULT_TOL):
-        v = _as_finite_complex(vector, "state vector").reshape(-1)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= tol:
-            raise ZeroVector("state vector has zero norm")
-        if abs(nrm - 1.0) > NORM_SLACK:
-            raise NormOutOfRange(f"vector norm {nrm:.9f} deviates from 1 by more than {NORM_SLACK}")
-        v = v / nrm
+    def __init__(self, vector):
+        v = unit_rows(np.reshape(np.asarray(vector, dtype=complex), (1, -1)))[0]
         self.dim = v.size
         self.vector = v
         self.projector = np.outer(v, v.conj())
-
-    def density(self) -> np.ndarray:
-        return self.projector
-
-    def overlap(self, other: "PureState") -> float:
-        """tr(P Q), the squared modulus of the inner product."""
-        return float(abs(np.vdot(self.vector, other.vector)) ** 2)
 
     def __repr__(self):
         return f"PureState(dim={self.dim})"
 
 
-class DensityMatrix:
-    """Positive trace-one operator; carries the mixed states of constructions."""
-
-    __slots__ = ("dim", "matrix")
-
-    def __init__(self, matrix, tol: float = linalg.DEFAULT_TOL):
-        m = _as_finite_complex(matrix, "density matrix")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if not linalg.is_psd(m, tol):
-            raise ValueError("density matrix must be Hermitian and positive semidefinite")
-        if abs(float(np.trace(m).real) - 1.0) > linalg.RESIDUAL_TOL:
-            raise ValueError("density matrix must have unit trace")
-        self.dim = m.shape[0]
-        self.matrix = m
-
-    def density(self) -> np.ndarray:
-        return self.matrix
-
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
-
-
 class Povm:
-    """Finite list of positive effects summing to the identity."""
+    """Positive effects summing to the identity: ``effects`` is their (k, d, d) stack."""
 
     __slots__ = ("dim", "effects")
 
     def __init__(self, effects, tol: float = linalg.DEFAULT_TOL):
-        mats = [_as_finite_complex(e, "POVM effect") for e in effects]
-        if not mats:
+        try:
+            stack = np.array(effects, dtype=complex)
+        except ValueError:  # numpy rejects matrices of unequal shapes
+            raise ValueError("POVM effects must be square matrices of one size") from None
+        if not stack.size:
             raise ValueError("a POVM needs at least one effect")
-        d = mats[0].shape[0]
-        for idx, e in enumerate(mats):
-            if e.ndim != 2 or e.shape != (d, d):
-                raise ValueError(f"effect {idx} is not {d}x{d}")
-        stack = np.stack(mats)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError("POVM effects must be square matrices of one size")
+        if not np.isfinite(stack).all():
+            raise ValueError("POVM effect contains non-finite entries")
         failing = ~linalg.is_psd(stack, tol)
         if failing.any():
             raise NotPsd(int(np.argmax(failing)))
+        d = stack.shape[1]
         residual = linalg.frobenius(stack.sum(axis=0) - np.eye(d))
         if residual > linalg.RESIDUAL_TOL:
             raise NotNormalized(residual)
         self.dim = d
-        self.effects = tuple(mats)
+        self.effects = stack
 
     def __len__(self):
         return len(self.effects)
@@ -155,45 +143,54 @@ class Povm:
 
 
 class StateSet:
-    """States sharing a dimension, pairwise distinct as operators."""
+    """Pure states sharing a dimension, pairwise distinct up to global phase:
+    ``vectors`` holds their unit rows, (n, d), and ``projectors`` the (n, d, d)
+    stack of |v><v|.
 
-    __slots__ = ("dim", "states")
+    The constructor takes a sequence of vectors or ``PureState``s; ``unit_rows``
+    validates every row and divides it by its norm.
+    """
+
+    __slots__ = ("vectors", "projectors")
 
     def __init__(self, states):
-        members = tuple(states)
-        if not members:
+        rows = [s.vector if isinstance(s, PureState) else s for s in states]
+        if not rows:
             raise ValueError("a state set needs at least one state")
-        d = members[0].dim
-        if any(s.dim != d for s in members):
-            raise ValueError("all states must share a dimension")
-        ops = np.stack([s.density() for s in members])
+        try:
+            rows = np.array(rows, dtype=complex)
+        except ValueError:  # numpy rejects rows of unequal shapes
+            raise ValueError("states must be vectors of one length") from None
+        self._take(unit_rows(rows))
+
+    @classmethod
+    def join(cls, *parts: StateSet | PureState) -> StateSet:
+        """The members of the sets and states ``parts``, in order, as one set.
+        Their vectors are unit already and are kept bit for bit, since a second
+        division by the norm can move the last bits."""
+        joined = cls.__new__(cls)
+        joined._take(np.vstack([p.vectors if isinstance(p, StateSet) else p.vector for p in parts]))
+        return joined
+
+    def _take(self, vectors: np.ndarray) -> None:
+        ops = projectors_of(vectors)
         first = first_match(ops, ops)
-        later = np.flatnonzero(first < np.arange(len(members)))
+        later = np.flatnonzero(first < np.arange(len(ops)))
         if later.size:
             # the first pair in row order: its i is the least first match of a later row
             i = first[later].min()
             j = later[first[later] == i][0]
             raise DuplicateState(f"states {i} and {j} coincide up to global phase")
-        self.dim = d
-        self.states = members
+        self.vectors = vectors
+        self.projectors = ops
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.states)
-
-    def densities(self) -> list[np.ndarray]:
-        return [s.density() for s in self.states]
-
-    def all_pure(self) -> bool:
-        return all(isinstance(s, PureState) for s in self.states)
-
-    def require_pure(self, what: str = "this operation"):
-        if not self.all_pure():
-            raise MixedStateInput(f"{what} requires pure states")
-
-    def vectors(self) -> list[np.ndarray]:
-        self.require_pure("vector access")
-        return [s.vector for s in self.states]
+        return len(self.vectors)
 
     def __repr__(self):
         return f"StateSet(dim={self.dim}, n={self.n})"

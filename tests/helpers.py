@@ -66,13 +66,13 @@ def chart_triple() -> StateSet:
     )
 
 
-def chart_triple_completions():
+def chart_triple_completions() -> np.ndarray:
     e1, e2, e3 = np.eye(3)
-    return (
-        (PureState(e3), PureState(e2)),
-        (PureState(e3), PureState(np.array([2, -1, 0]) / S5)),
-        (PureState(np.array([0, 2, -1]) / S5), PureState(e1)),
-    )
+    return np.array([
+        [e3, e2],
+        [e3, np.array([2, -1, 0]) / S5],
+        [np.array([0, 2, -1]) / S5, e1],
+    ])
 
 
 #: coefficients for the frozen chart, shape (n, d - 1)
@@ -272,7 +272,7 @@ def cfs_margin(states: StateSet) -> float:
     With x the three squared overlaps and s their sum, the triple is
     antidistinguishable iff s < 1 and (s - 1)^2 >= 4 x1 x2 x3.
     """
-    v = np.array(states.vectors())
+    v = states.vectors
     g = np.abs(v.conj() @ v.T) ** 2
     x = np.array([g[0, 1], g[0, 2], g[1, 2]])
     s = x.sum()

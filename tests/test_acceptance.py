@@ -52,7 +52,7 @@ def test_criterion_1_weighted_sum_reproduction():
     weights = solve_weights(triple)
     assert np.abs(weights - helpers.SUM_TRIPLE_WEIGHTS).max() <= 1e-10
 
-    r_proj = linalg.span_projector(triple.vectors())
+    r_proj = linalg.span_projector(triple.vectors)
     assert np.abs(r_proj - np.diag([1.0, 1.0, 0.0])).max() <= 1e-10
 
     result = check_sum_condition(triple, weights)
@@ -73,7 +73,7 @@ def test_criterion_2_sum_condition_not_necessary():
     triple = helpers.chart_triple()
 
     weights = solve_weights(triple)
-    summed = sum(w * s.projector for w, s in zip(weights, triple.states))
+    summed = sum(w * p for w, p in zip(weights, triple.projectors))
     assert not linalg.is_projection(summed)
     assert not check_sum_condition(triple, weights).satisfied
 
@@ -90,15 +90,15 @@ def test_criterion_2_sum_condition_not_necessary():
 
 def test_criterion_3_quaternion_orbit():
     orb = orbit(helpers.cached_quaternion(), tetrahedral_state())
-    assert len(orb.members) == 4
+    assert orb.members.n == 4
     assert orb.stabilizer_order == 2
 
-    total = sum(m.projector for m in orb.members)
+    total = orb.members.projectors.sum(axis=0)
     assert np.abs(total - 2 * np.eye(2)).max() <= 1e-10
 
     c, r_proj = schur_sum(orb)
     m = covariant_povm(orb, c, r_proj)
-    sset = orb.to_state_set()
+    sset = orb.members
     assert verify_antidistinguishing(sset, m)
 
     verdict = qubit_decide(sset)
@@ -112,15 +112,15 @@ def test_criterion_4_symmetric_group_orbit():
     rep = helpers.cached_symmetric(3)
     base = PureState(np.array([1, -1, 0]) / np.sqrt(2))
     orb = orbit(rep, base)
-    assert len(orb.members) == 3
+    assert orb.members.n == 3
 
     zero_sum_proj = np.eye(3) - np.ones((3, 3)) / 3
-    total = sum(m.projector for m in orb.members)
+    total = orb.members.projectors.sum(axis=0)
     assert np.abs(total - 1.5 * zero_sum_proj).max() <= 1e-10
     c, r_proj = schur_sum(orb)
     assert np.isclose(np.trace(r_proj).real, 2.0)
 
-    sset = orb.to_state_set()
+    sset = orb.members
     weights = solve_weights(sset)
     assert np.abs(weights - 2 / 3).max() <= 1e-10
     result = check_sum_condition(sset, weights)
@@ -161,9 +161,9 @@ def test_criterion_6_completion_soundness():
         added, verdict = qubit_complete(sset)
         assert added is not None and verdict.feasible
         assert verdict.added_state is not None
-        for s in sset.states:
-            assert np.linalg.norm(added.projector - s.projector) > 1e-7
-        enlarged = StateSet(sset.states + (added,))
+        for p in sset.projectors:
+            assert np.linalg.norm(added.projector - p) > 1e-7
+        enlarged = StateSet.join(sset, added)
         assert qubit_decide(enlarged).feasible
         assert verify_antidistinguishing(enlarged, exclusion_povm(enlarged, verdict.weights))
         CERTIFIED.append(enlarged)
@@ -233,7 +233,7 @@ def test_criterion_9_chart_roundtrip():
         kind = count % 3
         if kind == 0:
             orb, c, _ = helpers.random_certified_orbit(rng)
-            sset = orb.to_state_set()
+            sset = orb.members
             result = check_sum_condition(sset, np.full(sset.n, 1.0 / c))
         elif kind == 1:
             d = int(rng.integers(2, 6))

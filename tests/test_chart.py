@@ -55,9 +55,9 @@ def test_chart_roundtrip_from_sum_condition_povm():
 def test_chart_invalid_column_fails():
     chart = frozen_chart()
     # swap one completion into the wrong column: column identity breaks
-    broken = list(list(col) for col in chart.completions)
-    broken[0][0] = chart.completions[2][0]
-    assert not verify_chart(Chart(chart.states, tuple(tuple(c) for c in broken), chart.alphas))
+    broken = chart.completions.copy()
+    broken[0, 0] = chart.completions[2, 0]
+    assert not verify_chart(Chart(chart.states, broken, chart.alphas))
 
 
 def test_chart_all_zero_alphas_rejected():
@@ -134,7 +134,7 @@ def test_roundtrip_randomized():
     rng = np.random.default_rng(103)
     for _ in range(40):
         orb, c, _ = helpers.random_certified_orbit(rng)
-        sset = orb.to_state_set()
+        sset = orb.members
         res = check_sum_condition(sset, np.full(sset.n, 1.0 / c))
         m = build_povm(sset, res)
         chart = chart_from_povm(sset, m)

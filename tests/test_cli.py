@@ -57,9 +57,7 @@ def test_check_qubit_refutation(tmp_path, capsys):
 def test_check_with_seeded_chart(chart_triple_file, tmp_path, capsys):
     # check takes no seed chart; the chart solve decides the chart triple alone
     seed_path = write_json(tmp_path / "seed.json", {"completions": []})
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", chart_triple_file, "--seed-chart", seed_path])
-    assert exc.value.code == 2
+    assert cli.main(["check", chart_triple_file, "--seed-chart", seed_path]) == 2
     capsys.readouterr()
     code, out, _ = run(capsys, "check", chart_triple_file)
     assert code == 0
@@ -68,9 +66,7 @@ def test_check_with_seeded_chart(chart_triple_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("option", ["--budget", "--seed"])
 def test_check_search_options_removed(chart_triple_file, capsys, option):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", chart_triple_file, option, "5"])
-    assert exc.value.code == 2
+    assert cli.main(["check", chart_triple_file, option, "5"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -211,7 +207,7 @@ def test_complete_coplanar_fan(tmp_path, capsys):
     code, out, _ = run(capsys, "complete", path, "--out-states", str(out_states))
     assert code == 0
     cert = json.loads(out)
-    expected = -fan.states[0].vector  # direction only checked via bloch norm
+    expected = -fan.vectors[0]  # direction only checked via bloch norm
     added = np.asarray(cert["added_bloch"])
     assert np.isclose(np.linalg.norm(added), 1.0, atol=1e-9)
     enlarged_doc = json.loads(out_states.read_text())
@@ -382,9 +378,7 @@ def test_consecutive_calls_share_the_parser_not_their_arguments(triple_file, tmp
         assert code == 0 and json.loads(out)["verdict"] == "AntidistYes"
         code, out, _ = run(capsys, "verify", triple_file, str(cert))
         assert code == 0 and out.strip() == "verified"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["check", triple_file, "--budget", "5"])
-        assert exc.value.code == 2
+        assert cli.main(["check", triple_file, "--budget", "5"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         trine = write_json(tmp_path / "trine.json", state_doc(helpers.trine()))
         code, out, _ = run(capsys, "bloch", trine)
@@ -415,3 +409,35 @@ def test_malformed_dim_exits_as_input_error(tmp_path, capsys, dim):
         code, _, err = run(capsys, command, path)
         assert code == 2
         assert "'dim' must be an integer" in err
+
+
+@pytest.mark.parametrize("argv", [["check"], ["orbit", "--builtin", "quaternion", "--base", "-Infinity"]])
+def test_argument_errors_return_input_error(capsys, argv):
+    # argparse's own exit never escapes main: a parse error is an input error
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0
+    assert "usage:" in out
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("bad, reason", [([0, 0], "zero norm"), ([1.1, 0], "norm 1.1"),
+                                         (["NaN", 0], "non-finite")])
+def test_bad_state_row_exits_as_input_error_naming_it(tmp_path, capsys, k, bad, reason):
+    rows = [[1, 0], [0, 1], [0.6, 0.8]]
+    rows[k] = bad
+    path = tmp_path / "s.json"
+    # json writes NaN for float("nan"); the file reader accepts it
+    path.write_text(json.dumps({"dim": 2, "states": [
+        [float(x) if x == "NaN" else x for x in row] for row in rows]}))
+    for command in ("check", "bloch", "complete"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert f"state {k}: {reason}" in err

@@ -121,6 +121,7 @@ def test_cli_boundary_never_misreads_input(states, povm, group, base):
         for argv in (["verify", paths["states"], paths["povm"]],
                      ["complete", paths["states"]],
                      ["bloch", paths["states"]],
-                     ["orbit", "--group", paths["group"], f"--base={json.dumps(base)}"]):
+                     ["orbit", "--group", paths["group"], f"--base={json.dumps(base)}"],
+                     ["orbit", "--group", paths["group"], "--base", json.dumps(base)]):
             code, err = _run(argv)
             assert code in (0, 1, 2, 3) and "internal error" not in err, (argv, err)

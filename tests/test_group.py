@@ -48,13 +48,13 @@ def test_closure_audit():
 
 
 def test_orbit_tetrahedral():
-    from antidist import bloch_from_state
+    from antidist import bloch_vectors
 
     orb = orbit(helpers.cached_quaternion(), tetrahedral_state())
-    assert len(orb.members) == 4
+    assert orb.members.n == 4
     assert orb.stabilizer_order == 2
     expected = sorted(tuple(np.round(r, 6)) for r in helpers.TETRA_BLOCH)
-    got = sorted(tuple(np.round(bloch_from_state(m), 6)) for m in orb.members)
+    got = sorted(tuple(np.round(r, 6)) for r in bloch_vectors(orb.members))
     assert got == expected
 
 
@@ -62,13 +62,11 @@ def test_orbit_standard_triple():
     rep = helpers.cached_symmetric(3)
     base = PureState(np.array([1, -1, 0]) / np.sqrt(2))
     orb = orbit(rep, base)
-    assert len(orb.members) == 3
+    assert orb.members.n == 3
     assert orb.stabilizer_order == 2
     expected = helpers.standard_orbit_triple()
-    for m in orb.members:
-        assert any(
-            np.linalg.norm(m.projector - s.projector) <= 1e-9 for s in expected.states
-        )
+    for m in orb.members.projectors:
+        assert any(np.linalg.norm(m - p) <= 1e-9 for p in expected.projectors)
 
 
 def test_orbit_fixed_point():
@@ -88,7 +86,7 @@ def test_orbit_stabilizer_relation_random():
     for _ in range(25):
         orb, _, _ = helpers.random_certified_orbit(rng)
         rep_order = {2: 8, 3: 6, 4: 24}[orb.base.dim]
-        assert orb.stabilizer_order * len(orb.members) == rep_order
+        assert orb.stabilizer_order * orb.members.n == rep_order
 
 
 def test_schur_sum_tetrahedral():
@@ -96,7 +94,7 @@ def test_schur_sum_tetrahedral():
     c, r_proj = schur_sum(orb)
     assert np.isclose(c, 2.0)
     assert np.allclose(r_proj, np.eye(2), atol=1e-10)
-    total = sum(m.projector for m in orb.members)
+    total = orb.members.projectors.sum(axis=0)
     assert np.abs(total - 2 * np.eye(2)).max() <= 1e-10
     # irreducible case: c * stabilizer order = group order / dimension
     assert np.isclose(c * orb.stabilizer_order, 8 / 2)
@@ -109,7 +107,7 @@ def test_schur_sum_standard_triple():
     assert np.isclose(c, 1.5)
     assert np.isclose(np.trace(r_proj).real, 2.0)
     expected = np.eye(3) - np.ones((3, 3)) / 3
-    assert np.abs(sum(m.projector for m in orb.members) - 1.5 * expected).max() <= 1e-10
+    assert np.abs(orb.members.projectors.sum(axis=0) - 1.5 * expected).max() <= 1e-10
 
 
 def test_schur_sum_cyclic_basis():
@@ -133,10 +131,10 @@ def test_covariant_povm_tetrahedral():
     c, r_proj = schur_sum(orb)
     m = covariant_povm(orb, c, r_proj)
     # uniform weights 1/2 with a rank-2 identity give effects (1 - P)/2
-    for effect, member in zip(m.effects, orb.members):
-        assert np.abs(effect - (np.eye(2) - member.projector) / 2).max() <= 1e-10
+    for effect, member in zip(m.effects, orb.members.projectors):
+        assert np.abs(effect - (np.eye(2) - member) / 2).max() <= 1e-10
     assert np.abs(sum(m.effects) - np.eye(2)).max() <= 1e-10
-    assert verify_antidistinguishing(orb.to_state_set(), m)
+    assert verify_antidistinguishing(orb.members, m)
 
 
 def test_covariant_povm_standard_triple():
@@ -145,7 +143,7 @@ def test_covariant_povm_standard_triple():
     c, r_proj = schur_sum(orb)
     assert np.isclose(1.0 / c, 2 / 3)
     m = covariant_povm(orb, c, r_proj)
-    assert verify_antidistinguishing(orb.to_state_set(), m)
+    assert verify_antidistinguishing(orb.members, m)
 
 
 def test_covariant_povm_cyclic_basis():
@@ -153,9 +151,9 @@ def test_covariant_povm_cyclic_basis():
     orb = orbit(rep, PureState([1, 0, 0]))
     c, r_proj = schur_sum(orb)
     m = covariant_povm(orb, c, r_proj)
-    for effect, member in zip(m.effects, orb.members):
-        assert np.abs(effect - (np.eye(3) - member.projector) / 2).max() <= 1e-10
-    assert verify_antidistinguishing(orb.to_state_set(), m)
+    for effect, member in zip(m.effects, orb.members.projectors):
+        assert np.abs(effect - (np.eye(3) - member) / 2).max() <= 1e-10
+    assert verify_antidistinguishing(orb.members, m)
 
 
 def test_generated_sets_always_certify():
@@ -163,7 +161,7 @@ def test_generated_sets_always_certify():
     for _ in range(50):
         orb, c, r_proj = helpers.random_certified_orbit(rng)
         m = covariant_povm(orb, c, r_proj)
-        assert verify_antidistinguishing(orb.to_state_set(), m)
+        assert verify_antidistinguishing(orb.members, m)
 
 
 def test_builtin_symmetric_permutation():

@@ -45,8 +45,8 @@ def test_state_set_roundtrip(tmp_path):
     path = write(tmp_path, "s.json", io.state_set_to_doc(triple, ["x", "y", "z"]))
     loaded, labels = io.load_state_set(path)
     assert labels == ["x", "y", "z"]
-    for a, b in zip(loaded.states, triple.states):
-        assert np.linalg.norm(a.projector - b.projector) <= 1e-10
+    for a, b in zip(loaded.projectors, triple.projectors):
+        assert np.linalg.norm(a - b) <= 1e-10
 
 
 def test_state_set_label_count_mismatch(tmp_path):

@@ -21,8 +21,8 @@ def test_matrix_product_identity_and_pauli():
 
 def test_matrix_product_matches_hand_multiplication():
     triple = helpers.sum_condition_triple()
-    p2 = triple.states[1].projector
-    p3 = triple.states[2].projector
+    p2 = triple.projectors[1]
+    p3 = triple.projectors[2]
     expected = np.array([[-3, 6, 0], [-6, 12, 0], [0, 0, 0]], dtype=complex) / 25.0
     assert np.allclose(p2 @ p3, expected, atol=1e-12)
     assert np.allclose(helpers.naive_matmul(p2, p3), expected, atol=1e-12)
@@ -50,7 +50,7 @@ def test_hermitian_eigen_known_spectra():
     w, _ = linalg.hermitian_eigen(np.diag([1.0, 1.0, 0.0]).astype(complex))
     assert np.allclose(w, [0.0, 1.0, 1.0])
 
-    p2 = helpers.sum_condition_triple().states[1].projector
+    p2 = helpers.sum_condition_triple().projectors[1]
     w, _ = linalg.hermitian_eigen(p2)
     assert np.allclose(w, [0.0, 0.0, 1.0], atol=1e-9)
 
@@ -80,7 +80,7 @@ def test_is_projection():
     assert linalg.is_projection(np.diag([1.0, 1.0, 0.0]))
     triple = helpers.sum_condition_triple()
     summed = sum(
-        w * s.projector for w, s in zip(helpers.SUM_TRIPLE_WEIGHTS, triple.states)
+        w * p for w, p in zip(helpers.SUM_TRIPLE_WEIGHTS, triple.projectors)
     )
     assert linalg.is_projection(summed)
 
@@ -88,7 +88,7 @@ def test_is_projection():
     weights = np.linalg.solve(
         np.array([[1, 0.2, 0], [0.2, 1, 4 / 25], [0, 4 / 25, 1]]), np.ones(3)
     )
-    not_proj = sum(w * s.projector for w, s in zip(weights, other.states))
+    not_proj = sum(w * p for w, p in zip(weights, other.projectors))
     assert not linalg.is_projection(not_proj)
     assert not linalg.is_projection(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -149,7 +149,7 @@ def test_solve_linear_residuals_on_random_systems():
 
 def test_span_projector_known_cases():
     triple = helpers.sum_condition_triple()
-    proj = linalg.span_projector(triple.vectors())
+    proj = linalg.span_projector(triple.vectors)
     assert np.allclose(proj, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     e1 = np.zeros(4, dtype=complex)
@@ -157,7 +157,7 @@ def test_span_projector_known_cases():
     assert np.allclose(linalg.span_projector([e1]), np.diag([1.0, 0, 0, 0]))
 
     standard = helpers.standard_orbit_triple()
-    proj = linalg.span_projector(standard.vectors())
+    proj = linalg.span_projector(standard.vectors)
     expected = np.eye(3) - np.ones((3, 3)) / 3
     assert np.allclose(proj, expected, atol=1e-12)
     assert np.isclose(np.trace(proj).real, 2.0)
@@ -189,7 +189,7 @@ def test_orthonormal_complement():
     for _ in range(20):
         d = int(rng.integers(2, 6))
         v = helpers.random_vector(d, rng)
-        comp = linalg.orthonormal_complement([v])
+        comp = list(linalg.span_bases([v])[1].T)
         assert len(comp) == d - 1
         for u in comp:
             assert abs(np.vdot(v, u)) <= 1e-9
@@ -201,13 +201,25 @@ def test_orthonormal_complement():
         indep = [helpers.random_vector(d, rng) for _ in range(k)]
         mixes = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
         vecs = indep + [m @ np.array(indep) for m in mixes]
-        comp = linalg.orthonormal_complement(vecs)
+        comp = list(linalg.span_bases(vecs)[1].T)
         assert len(comp) == d - k
         for u in comp:
             assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-9)
             assert max(abs(np.vdot(w, u)) for w in vecs) <= 1e-9
         full = linalg.span_projector(vecs + comp)
         assert np.allclose(full, np.eye(d), atol=1e-9)
+
+
+def test_complements_match_the_per_vector_svd():
+    # one batched SVD gives, bit for bit, the complement of each vector alone
+    rng = np.random.default_rng(43)
+    for d in range(2, 17):
+        vecs = np.array([helpers.random_vector(d, rng) for _ in range(2 * d)])
+        comps = linalg.complements(vecs)
+        assert comps.shape == (2 * d, d, d - 1)
+        for v, comp in zip(vecs, comps):
+            assert np.array_equal(comp, linalg.span_bases([v])[1])
+            assert np.abs(v.conj() @ comp).max() <= 1e-12
 
 
 def test_haar_unitary_is_unitary():

@@ -14,8 +14,7 @@ from antidist import (
     tetrahedral_state,
     verify_antidistinguishing,
 )
-from antidist.errors import MixedStateInput, WrongDimension
-from antidist.states import DensityMatrix
+from antidist.errors import WrongDimension
 
 import helpers
 
@@ -71,12 +70,6 @@ def test_decide_antipodal_pair():
 
 def test_decide_single_state_infeasible():
     assert not qubit_decide(StateSet([PureState([1, 0])])).feasible
-
-
-def test_decide_rejects_mixed_input():
-    sset = StateSet([PureState([1, 0]), DensityMatrix(np.eye(2) / 2)])
-    with pytest.raises(MixedStateInput):
-        qubit_decide(sset)
 
 
 def test_feasible_weights_certify():
@@ -142,7 +135,7 @@ def test_complete_single_state():
     assert added is not None
     assert np.allclose(verdict.added_state, [0, 0, -1], atol=1e-12)
     assert verdict.feasible
-    enlarged = StateSet(sset.states + (added,))
+    enlarged = StateSet.join(sset, added)
     assert qubit_decide(enlarged).feasible
 
 
@@ -151,7 +144,7 @@ def test_complete_two_states():
     added, verdict = qubit_complete(sset)
     expected = -np.array([1, 1, 0]) / np.sqrt(2)
     assert np.allclose(verdict.added_state, expected, atol=1e-10)
-    enlarged = StateSet(sset.states + (added,))
+    enlarged = StateSet.join(sset, added)
     assert qubit_decide(enlarged).feasible
     assert verify_antidistinguishing(enlarged, exclusion_povm(enlarged, verdict.weights))
 
@@ -170,7 +163,7 @@ def test_complete_coplanar_fan():
     assert not qubit_decide(sset).feasible
     added, verdict = qubit_complete(sset)
     assert added is not None
-    enlarged = StateSet(sset.states + (added,))
+    enlarged = StateSet.join(sset, added)
     assert qubit_decide(enlarged).feasible
 
 
@@ -183,9 +176,9 @@ def test_completion_soundness_randomized():
             continue
         added, verdict = qubit_complete(sset)
         assert added is not None and verdict.feasible
-        for s in sset.states:
-            assert np.linalg.norm(added.projector - s.projector) > 1e-7
-        enlarged = StateSet(sset.states + (added,))
+        for p in sset.projectors:
+            assert np.linalg.norm(added.projector - p) > 1e-7
+        enlarged = StateSet.join(sset, added)
         assert qubit_decide(enlarged).feasible
         assert verify_antidistinguishing(enlarged, exclusion_povm(enlarged, verdict.weights))
         completed += 1
@@ -197,11 +190,11 @@ def test_bloch_vectors_match_trace_formula():
 
     rng = np.random.default_rng(89)
     sset = helpers.random_qubit_set(9, rng)
-    expected = [[np.trace(s.projector @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
-                for s in sset.states]
+    expected = [[np.trace(q @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+                for q in sset.projectors]
     assert np.allclose(bloch_vectors(sset), expected, rtol=0, atol=1e-15)
-    for s, row in zip(sset.states, expected):
-        assert np.allclose(bloch_from_state(s), row, rtol=0, atol=1e-15)
+    for v, row in zip(sset.vectors, expected):
+        assert np.allclose(bloch_from_state(PureState(v)), row, rtol=0, atol=1e-15)
 
 
 def test_decision_agrees_with_enumeration_and_lp_oracles():
@@ -247,7 +240,7 @@ def test_origin_on_hull_boundary_is_no(name):
         # the antipode of the other points' sum puts the origin inside
         rest = bloch[2:].sum(axis=0)
         opposite = state_from_bloch(-rest / np.linalg.norm(rest))
-        assert qubit_decide(StateSet(sset.states + (opposite,))).feasible
+        assert qubit_decide(StateSet.join(sset, opposite)).feasible
 
 
 def test_large_set_weights_certify():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from antidist import (
-    DensityMatrix,
     GroupRep,
     PureState,
     StateSet,
     two_n_construction,
+    verify_antidistinguishing,
 )
+from antidist import linalg
 from antidist.errors import DuplicateState
 from antidist.states import first_match
 
@@ -34,7 +35,7 @@ def _random_ops(kind: str, d: int, m: int, rng: np.random.Generator) -> np.ndarr
     for _ in range(m):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T
-        mats.append(DensityMatrix(rho / np.trace(rho).real).matrix)
+        mats.append(rho / np.trace(rho).real)
     return np.stack(mats)
 
 
@@ -84,26 +85,21 @@ def _first_pair(ops):
 
 def test_state_set_agrees_with_pairwise_loop():
     rng = np.random.default_rng(104)
-    for trial in range(60):
+    for _ in range(60):
         d = int(rng.integers(2, 6))
         members = [helpers.random_pure(d, rng) for _ in range(int(rng.integers(2, 7)))]
-        if trial % 4:
-            members.append(DensityMatrix(np.eye(d) / d))
         for _ in range(int(rng.integers(0, 3))):
             k = int(rng.integers(0, len(members)))
             distance, _ = PLANTED[int(rng.integers(0, len(PLANTED)))]
-            if isinstance(members[k], PureState):
-                v = members[k].vector
-                w = helpers.random_vector(d, rng)
-                w -= np.vdot(v, w) * v
-                w /= np.linalg.norm(w)
-                # ||P - Q||_F = sqrt(2) sin(theta) for unit vectors at angle theta
-                theta = np.arcsin(distance / np.sqrt(2))
-                copy = PureState(np.exp(0.7j) * (np.cos(theta) * v + np.sin(theta) * w))
-            else:
-                copy = DensityMatrix(members[k].matrix)
+            v = members[k].vector
+            w = helpers.random_vector(d, rng)
+            w -= np.vdot(v, w) * v
+            w /= np.linalg.norm(w)
+            # ||P - Q||_F = sqrt(2) sin(theta) for unit vectors at angle theta
+            theta = np.arcsin(distance / np.sqrt(2))
+            copy = PureState(np.exp(0.7j) * (np.cos(theta) * v + np.sin(theta) * w))
             members.insert(int(rng.integers(0, len(members) + 1)), copy)
-        pair = _first_pair([m.density() for m in members])
+        pair = _first_pair([m.projector for m in members])
         if pair is None:
             assert StateSet(members).n == len(members)
         else:
@@ -120,9 +116,9 @@ def test_orbit_agrees_with_pairwise_dedupe():
         images = [np.outer(v, v.conj()) for v in (u @ orb.base.vector for u in rep.elements)]
         first = helpers.pairwise_first_match(images, images)
         kept = [images[k] for k in range(len(images)) if first[k] == k]
-        assert len(orb.members) == len(kept)
-        for member, expected in zip(orb.members, kept):
-            assert np.linalg.norm(member.projector - expected) <= 1e-12
+        assert orb.members.n == len(kept)
+        for member, expected in zip(orb.members.projectors, kept):
+            assert np.linalg.norm(member - expected) <= 1e-12
         assert orb.stabilizer_order * len(kept) == rep.order
 
 
@@ -153,16 +149,58 @@ def test_two_n_agrees_with_merge_loop(balanced):
         halving = [2.0 ** -(n - 1)] + [2.0 ** -(n - i) for i in range(1, n)]
         scales = [1.0 / n] * n if balanced else halving
         ops, effects = [], []
-        for scale, p in zip(scales, states.states):
-            ops += [p.projector, (np.eye(d) - p.projector) / (d - 1)]
-            effects += [scale * (np.eye(d) - p.projector), scale * p.projector]
+        for scale, v, p in zip(scales, states.vectors, states.projectors):
+            # the pure partner: the first column of the SVD complement of v
+            phi = linalg.span_bases([v])[1][:, 0]
+            ops += [p, np.outer(phi, phi.conj())]
+            effects += [scale * (np.eye(d) - p), scale * p]
         kept, summed = _merge_loop(ops, effects)
         enlarged, m = two_n_construction(states, balanced)
         assert enlarged.n == len(kept) == len(m.effects)
-        for got, want in zip(enlarged.densities(), kept):
+        for got, want in zip(enlarged.projectors, kept):
             assert np.linalg.norm(got - want) <= 1e-12
         for got, want in zip(m.effects, summed):
             assert np.linalg.norm(got - want) <= 1e-12
+
+
+def _two_n_sets(rng):
+    """Seeded random sets, orthonormal subsets and basis subsets, d = 2..6, n = 1..8."""
+    for d in range(2, 7):
+        for n in range(1, 9):
+            yield StateSet([helpers.random_pure(d, rng) for _ in range(n)])
+            if n <= d:
+                yield helpers.random_orthonormal_subset(d, n, rng)
+                yield StateSet(np.eye(d)[rng.choice(d, n, replace=False)])
+
+
+def test_two_n_adds_at_most_n_pure_states():
+    rng = np.random.default_rng(108)
+    checked = 0
+    for _ in range(15):
+        for states in _two_n_sets(rng):
+            n, d = states.n, states.dim
+            for balanced in (True, False):
+                enlarged, m = two_n_construction(states, balanced)
+                assert isinstance(enlarged, StateSet) and enlarged.dim == d
+                assert np.abs(np.linalg.norm(enlarged.vectors, axis=1) - 1).max() <= 1e-12
+                assert n <= enlarged.n <= 2 * n
+                # the input states come first in each pair, so all of them are kept
+                assert (first_match(enlarged.projectors, states.projectors) >= 0).all()
+                assert verify_antidistinguishing(enlarged, m)
+                if d == 2:
+                    # the construction that paired P with the mixed state (1 - P)/(d - 1)
+                    halving = [2.0 ** -(n - 1)] + [2.0 ** -(n - i) for i in range(1, n)]
+                    scales = [1.0 / n] * n if balanced else halving
+                    ops, effects = [], []
+                    for scale, p in zip(scales, states.projectors):
+                        ops += [p, (np.eye(d) - p) / (d - 1)]
+                        effects += [scale * (np.eye(d) - p), scale * p]
+                    kept, summed = _merge_loop(ops, effects)
+                    assert enlarged.n == len(kept)
+                    assert np.abs(enlarged.projectors - np.array(kept)).max() <= 1e-12
+                    assert np.abs(m.effects - np.array(summed)).max() <= 1e-12
+            checked += 1
+    assert checked == 1200
 
 
 def test_group_rep_agrees_with_product_check():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from antidist import Certificate, DensityMatrix, Method, Povm, PureState, StateSet, Verdict
+from antidist import Certificate, Method, Povm, PureState, StateSet, Verdict
 from antidist import io
 from antidist.errors import (
     DuplicateState,
@@ -55,12 +55,28 @@ def test_global_phase_is_quotiented():
         StateSet([a, b])
 
 
-def test_density_matrix_validation():
-    DensityMatrix(np.eye(3) / 3)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(3))  # trace 3
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[1.5, 0], [0, -0.5]]))  # not PSD
+def test_state_set_validates_every_row():
+    rng = np.random.default_rng(9)
+    rows = np.array([helpers.random_vector(3, rng) for _ in range(4)])
+    for k in range(4):
+        for bad, error, reason in ((np.zeros(3), ZeroVector, "zero norm"),
+                                   (1.1 * rows[k], NormOutOfRange, "norm 1.100000000"),
+                                   (np.array([np.nan, 1, 0]), ValueError, "non-finite")):
+            broken = rows.copy()
+            broken[k] = bad
+            with pytest.raises(error, match=f"state {k}: {reason}"):
+                StateSet(broken)
+    # the first bad row is named; rows within NORM_SLACK are renormalized
+    broken = rows * np.array([1, 1 + 5e-7, 2, 0])[:, None]
+    with pytest.raises(NormOutOfRange, match="state 2:"):
+        StateSet(broken)
+    sset = StateSet(rows * (1 + 5e-7))
+    assert np.allclose(np.linalg.norm(sset.vectors, axis=1), 1.0, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="vectors of one length"):
+        StateSet([[1, 0], [1, 0, 0]])
+    # a PureState validates its one row with the same helper
+    with pytest.raises(NormOutOfRange, match="state 0: norm 1.100000000"):
+        PureState(1.1 * rows[0])
 
 
 def test_povm_validation():
@@ -85,11 +101,30 @@ def test_state_set_rejects_duplicates():
 
 
 def test_state_set_mixed_members():
-    mixed = DensityMatrix(np.eye(2) / 2)
-    sset = StateSet([PureState([1, 0]), mixed])
-    assert not sset.all_pure()
-    with pytest.raises(Exception):
-        sset.vectors()
+    # every member is pure: a density matrix is not a state vector
+    with pytest.raises(ValueError, match="vectors of one length"):
+        StateSet([PureState([1, 0]), np.eye(2) / 2])
+    with pytest.raises(ValueError, match="vectors of one length"):
+        StateSet([np.eye(2) / 2])
+
+
+def test_state_set_is_one_array():
+    rng = np.random.default_rng(10)
+    rows = np.array([helpers.random_vector(4, rng) for _ in range(5)])
+    sset = StateSet(rows)
+    assert sset.vectors.shape == (5, 4) and sset.projectors.shape == (5, 4, 4)
+    assert (sset.dim, sset.n) == (4, 5)
+    for v, p in zip(sset.vectors, sset.projectors):
+        assert np.array_equal(p, np.outer(v, v.conj()))
+    # PureStates and plain rows give the same set
+    same = StateSet([PureState(v) if k % 2 else v for k, v in enumerate(rows)])
+    assert np.array_equal(same.vectors, sset.vectors)
+    # join keeps the members' vectors bit for bit and still refuses duplicates
+    extra = PureState(helpers.random_vector(4, rng))
+    joined = StateSet.join(sset, extra)
+    assert np.array_equal(joined.vectors, np.vstack([sset.vectors, extra.vector]))
+    with pytest.raises(DuplicateState, match="states 1 and 5"):
+        StateSet.join(sset, PureState(np.exp(0.3j) * sset.vectors[1]))
 
 
 def test_certificate_roundtrip_is_byte_identical():
@@ -144,6 +179,3 @@ def test_duplicate_check_threshold_and_order():
     # the first pair in row order is named, not the first adjacent one
     with pytest.raises(DuplicateState, match="states 0 and 3"):
         StateSet([a, b, b_phase, near(0.0)])
-    mixed = DensityMatrix(np.eye(3) / 3)
-    with pytest.raises(DuplicateState, match="states 1 and 2"):
-        StateSet([a, mixed, DensityMatrix(np.eye(3) / 3)])

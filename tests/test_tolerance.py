@@ -30,7 +30,7 @@ def _policy_sets() -> list[StateSet]:
         n = int(rng.integers(3, 2 * d + 1))
         sets.append(StateSet([helpers.random_pure(d, rng) for _ in range(n)]))
     sets.append(helpers.sum_condition_triple())
-    sets.append(helpers.random_certified_orbit(rng)[0].to_state_set())
+    sets.append(helpers.random_certified_orbit(rng)[0].members)
     return sets
 
 
