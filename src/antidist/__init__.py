@@ -29,7 +29,6 @@ from .qubit import (  # noqa: F401
     QubitVerdict,
     bloch_from_state,
     bloch_vectors,
-    exclusion_povm,
     qubit_complete,
     qubit_decide,
     state_from_bloch,
@@ -39,7 +38,6 @@ from .group import (  # noqa: F401
     Orbit,
     builtin_quaternion,
     builtin_symmetric_permutation,
-    covariant_povm,
     orbit,
     schur_sum,
     standard_subspace_vectors,

@@ -70,8 +70,7 @@ def cmd_complete(args) -> int:
         Verdict.YES,
         Method.QUBIT_BLOCH,
         weights=verdict.weights,
-        bloch_weights=verdict.weights,
-        povm=qubit.exclusion_povm(enlarged, verdict.weights),
+        povm=conditions.build_povm(enlarged, verdict.weights, np.eye(2), args.tolerance),
         added_state=added.vector if added is not None else None,
         added_bloch=verdict.added_state,
         notes=notes,
@@ -121,14 +120,13 @@ def cmd_orbit(args) -> int:
         raise FileFormatError("--base is required for representations loaded from a file")
     orb = group.orbit(rep, base)
     c, r_proj = group.schur_sum(orb, args.tolerance)
-    povm = group.covariant_povm(orb, c, r_proj, args.tolerance)
-    members = orb.members
+    members, weights = orb.members, np.full(orb.members.n, 1.0 / c)
     cert = Certificate(
         Verdict.YES,
         Method.GROUP_ORBIT,
-        weights=np.full(members.n, 1.0 / c),
+        weights=weights,
         projector_r=r_proj,
-        povm=povm,
+        povm=conditions.build_povm(members, weights, r_proj, args.tolerance),
         notes=(
             f"orbit of size {members.n} with stabilizer order {orb.stabilizer_order}; "
             f"projector sum equals {c:.12g} times the span projector"

@@ -1,8 +1,10 @@
 """Algebraic exclusion conditions and constructions on pure state sets.
 
 Covers pairwise-orthogonality (distinguishability), verification of an
-excluding measurement, the weighted sum-equals-projection certificate with
-its explicit POVM, the pairwise-fidelity necessary bound (for pure states the
+excluding measurement, the weighted sum-equals-projection certificate and
+the one measurement its weights determine (every weighted YES verdict, from
+the qubit Bloch test, a rank-2 span, a group orbit or a completion, is an
+instance of it), the pairwise-fidelity necessary bound (for pure states the
 fidelity is the overlap tr(P_j P_k)), and the two set constructions (disjoint
 union, and adding at most n pure states to make n states excludable).  Every
 function works on the arrays of a ``StateSet`` and the effect stack of a
@@ -97,17 +99,17 @@ def check_sum_condition(
     return SumConditionResult(weights, r_proj, rank, satisfied)
 
 
-def build_povm(states: StateSet, result: SumConditionResult, tol: float = linalg.DEFAULT_TOL) -> Povm:
-    """Explicit excluding measurement from a satisfied sum condition:
-    M(j) = t_j/(r-1) (R - P_j) + R_perp / n."""
-    if not result.satisfied:
-        raise ValueError("sum condition not satisfied; no measurement to build")
-    if result.rank_r < 2:
+def build_povm(states: StateSet, weights, r_proj: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> Povm:
+    """The paper's measurement M(j) = t_j/(r-1) (R - P_j) + R_perp / n, with r = tr R.
+
+    Weights that miss sum_j t_j P_j = R fail the ``Povm`` checks (NotPsd or
+    NotNormalized), so the result always is a measurement.
+    """
+    rank = int(round(np.trace(r_proj).real))
+    if rank < 2:
         raise RankTooSmall("span projector has rank < 2")
-    r_proj = result.projector_r
+    scales = (np.asarray(weights, dtype=float) / (rank - 1))[:, None, None]
     comp = np.eye(states.dim) - r_proj
-    denom = result.rank_r - 1
-    scales = (np.asarray(result.weights, dtype=float) / denom)[:, None, None]
     return Povm(scales * (r_proj - states.projectors) + comp / states.n, tol)
 
 

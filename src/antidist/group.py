@@ -2,8 +2,8 @@
 
 An orbit of a pure state under a representation that acts irreducibly on
 the orbit span sums to a scalar multiple of the span projector.  That
-scalar certifies uniform weights 1/c, and the generic sum-condition
-measurement becomes covariant.  The span-projector formulation also covers
+scalar certifies uniform weights 1/c, and ``conditions.build_povm`` on them
+gives a covariant measurement.  The span-projector formulation also covers
 reducible representations restricted to an invariant subspace.
 """
 
@@ -14,9 +14,9 @@ from itertools import permutations
 
 import numpy as np
 
-from . import conditions, linalg, qubit
+from . import linalg, qubit
 from .errors import FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
-from .states import Povm, PureState, StateSet, first_match, projectors_of, unit_rows
+from .states import PureState, StateSet, first_match, projectors_of, unit_rows
 
 
 class GroupRep:
@@ -103,20 +103,6 @@ def schur_sum(orb: Orbit, tol: float = linalg.DEFAULT_TOL) -> tuple[float, np.nd
     if linalg.frobenius(total - c * r_proj) > linalg.RESIDUAL_TOL:
         raise NotScalarOnSupport("orbit sum is not proportional to the span projector")
     return c, r_proj
-
-
-def covariant_povm(
-    orb: Orbit, c: float, r_proj: np.ndarray, tol: float = linalg.DEFAULT_TOL
-) -> Povm:
-    """Excluding measurement for an orbit with uniform weights 1/c."""
-    rank = int(round(np.trace(r_proj).real))
-    result = conditions.SumConditionResult(
-        weights=np.full(orb.members.n, 1.0 / c),
-        projector_r=r_proj,
-        rank_r=rank,
-        satisfied=True,
-    )
-    return conditions.build_povm(orb.members, result, tol)
 
 
 def builtin_quaternion() -> GroupRep:

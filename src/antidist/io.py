@@ -186,7 +186,6 @@ def _real_vector(entries) -> np.ndarray:
 _EVIDENCE = (
     ("weights", real_vector_to_wire, _real_vector),
     ("projector_r", matrix_to_wire, wire_to_matrix),
-    ("bloch_weights", real_vector_to_wire, _real_vector),
     ("added_state", vector_to_wire, wire_to_vector),
     ("added_bloch", real_vector_to_wire, _real_vector),
     ("witness", matrix_to_wire, wire_to_matrix),

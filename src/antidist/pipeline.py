@@ -7,7 +7,8 @@ Order of attack for a pure state set:
    margin the notes give), and again after step 4 for a span of rank 2,
 3. the pairwise-fidelity bound (no on violation),
 4. Gram weights plus the sum-equals-projection test (yes with the
-   explicit measurement),
+   measurement ``conditions.build_povm`` makes of the weights; every
+   weighted yes, the qubit ones of step 2 included, uses it),
 5. the chart solve: yes with its verified measurement, or no with a
    Hermitian witness that passes the witness inequality,
 6. otherwise unknown, noting the best primal residual and the dual's eps.
@@ -60,7 +61,7 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
                 Method.SUM_PROJECTION,
                 weights=result.weights,
                 projector_r=result.projector_r,
-                povm=conditions.build_povm(states, result, tol),
+                povm=conditions.build_povm(states, result.weights, result.projector_r, tol),
                 notes="weighted projector sum equals the span projector",
             )
 
@@ -94,10 +95,10 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
 
 def _qubit_certificate(states: StateSet, span: np.ndarray | None, tol: float) -> Certificate:
     """The qubit LP's verdict on the states (``span`` None, d = 2) or on their unit
-    coordinates in the orthonormal columns ``span`` of a rank-2 span.  There a YES
-    lifts by ``build_povm`` (R = span span^dagger, r = 2) applied to those unit
-    coordinates mapped back into the span, so its effects sum to I exactly even
-    when the rank dropped singular values up to ``tol``."""
+    coordinates in the orthonormal columns ``span`` of a rank-2 span.  A YES is the
+    sum condition with R = I for d = 2 and R = span span^dagger for a span, where
+    ``build_povm`` takes the unit coordinates mapped back into the span, so the
+    effects sum to I exactly even when the rank dropped singular values up to ``tol``."""
     plane, r_proj = states, None
     if span is not None:
         coords = states.vectors @ span.conj()
@@ -107,10 +108,10 @@ def _qubit_certificate(states: StateSet, span: np.ndarray | None, tol: float) ->
     notes = f"strictly positive weights cancel the Bloch vectors; LP margin s* = {verdict.margin:.3g}"
     if not verdict.feasible:
         return Certificate(Verdict.NO, Method.QUBIT_BLOCH, notes="no " + notes)
-    povm, w = verdict.povm, verdict.weights
+    w, lifted = verdict.weights, states
     if span is not None:
         # span @ c for each row c: a stacked product rounds as the single one does
         lifted = StateSet((span @ coords[:, :, None])[:, :, 0])
-        povm = conditions.build_povm(lifted, conditions.SumConditionResult(w, r_proj, 2, True), tol)
-    return Certificate(Verdict.YES, Method.QUBIT_BLOCH, weights=w, bloch_weights=w,
-                       projector_r=r_proj, povm=povm, notes=notes)
+    povm = conditions.build_povm(lifted, w, np.eye(2) if span is None else r_proj, tol)
+    return Certificate(Verdict.YES, Method.QUBIT_BLOCH, weights=w, projector_r=r_proj,
+                       povm=povm, notes=notes)

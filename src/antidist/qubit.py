@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 
 from . import linalg
 from .errors import WrongDimension
-from .states import Povm, PureState, StateSet, first_match
+from .states import PureState, StateSet, first_match
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,17 +32,13 @@ _PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 @dataclass
 class QubitVerdict:
-    """Feasibility verdict; weights sum to 2 when feasible.
-
-    ``margin`` is the LP optimum s* and ``povm`` the validated measurement
-    {t_j (1 - P_j)}, both set by ``qubit_decide``.
-    """
+    """Feasibility verdict; weights sum to 2 when feasible, and ``margin`` is the
+    LP optimum s* that ``qubit_decide`` sets."""
 
     feasible: bool
     weights: np.ndarray | None = None
     added_state: np.ndarray | None = None
     margin: float | None = None
-    povm: Povm | None = None
 
 
 def _bloch(vectors: np.ndarray) -> np.ndarray:
@@ -109,22 +105,14 @@ def _max_min_weights(rvecs: np.ndarray) -> tuple[float, np.ndarray | None]:
 def qubit_decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> QubitVerdict:
     """Decide whether strictly positive weights cancel the Bloch vectors.
 
-    Feasible verdicts carry weights normalized to sum 2, so that
-    {t_j (1 - P_j)} is an excluding measurement; it is built, and so
-    validated as a ``Povm``, before the verdict is returned.
+    Feasible verdicts carry weights normalized to sum 2: then sum_j t_j P_j = I,
+    the sum condition with R = I, and ``conditions.build_povm(states, t, I)``
+    is the excluding measurement {t_j (1 - P_j)}.
     """
     margin, weights = _max_min_weights(bloch_vectors(states))
     if margin <= tol or weights.min() <= tol:
         return QubitVerdict(False, margin=margin)
-    return QubitVerdict(True, weights=weights, margin=margin, povm=exclusion_povm(states, weights))
-
-
-def exclusion_povm(states: StateSet, weights) -> Povm:
-    """The measurement {t_j (1 - P_j)} certified by a feasible verdict."""
-    if states.dim != 2:
-        raise WrongDimension("the orthocomplement measurement is qubit-specific")
-    weights = np.asarray(weights, dtype=float)
-    return Povm(weights[:, None, None] * (np.eye(2) - states.projectors))
+    return QubitVerdict(True, weights=weights, margin=margin)
 
 
 def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
@@ -134,21 +122,22 @@ def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
     None and the verdict is the set's own.  Otherwise the summed Bloch
     vector r is nonzero and the state with Bloch vector -r/|r| completes
     the set; the returned verdict certifies the enlarged set with weights
-    (1/|r|, ..., 1/|r|, 1) rescaled to sum 2.
+    (1/|r|, ..., 1/|r|, 1) rescaled to sum 2.  ValueError when the tolerance
+    is at or above s* of a set whose Bloch vectors positive weights cancel.
     """
     verdict = qubit_decide(states, tol)
     if verdict.feasible:
         return None, verdict
-    rvecs = bloch_vectors(states)
-    total = rvecs.sum(axis=0)
+    total = bloch_vectors(states).sum(axis=0)
     nrm = float(np.linalg.norm(total))
-    if nrm <= tol:
-        raise RuntimeError("zero Bloch sum contradicts the infeasible verdict")
-    direction = -total / nrm
-    added = state_from_bloch(direction)
-    if first_match(states.projectors, added.projector[None])[0] >= 0:
-        raise RuntimeError("completion coincides with a member; set should be feasible")
+    added = state_from_bloch(-total / nrm) if nrm > tol else None
+    if added is None or first_match(states.projectors, added.projector[None])[0] >= 0:
+        # a zero Bloch sum, or a completion that is a member, means positive weights cancel
+        raise ValueError(
+            f"no completion at tolerance {tol:g}: the LP margin s* = {verdict.margin:.3g} "
+            "does not exceed it, yet positive weights cancel the Bloch vectors; lower the tolerance"
+        )
     weights = np.full(states.n + 1, 1.0 / nrm)
     weights[-1] = 1.0
     weights *= 2.0 / weights.sum()
-    return added, QubitVerdict(True, weights=weights, added_state=direction)
+    return added, QubitVerdict(True, weights=weights, added_state=-total / nrm)

@@ -205,7 +205,6 @@ class Certificate:
     weights: np.ndarray | None = None
     projector_r: np.ndarray | None = None
     povm: Povm | None = None
-    bloch_weights: np.ndarray | None = None
     added_state: np.ndarray | None = None
     added_bloch: np.ndarray | None = None
     witness: np.ndarray | None = None

@@ -19,7 +19,6 @@ import numpy as np
 
 from antidist import (
     GroupRep,
-    Povm,
     PureState,
     StateSet,
     builtin_quaternion,
@@ -28,7 +27,6 @@ from antidist import (
     schur_sum,
     standard_subspace_vectors,
     state_from_bloch,
-    tetrahedral_state,
 )
 from antidist.linalg import orthonormal_columns
 from antidist.states import DUPLICATE_TOL
@@ -96,6 +94,30 @@ def trine() -> StateSet:
             state_from_bloch((-0.5, -np.sqrt(3) / 2, 0)),
         ]
     )
+
+
+#: a real trine and its QubitBloch certificate, literally as written when
+#: certificates also carried ``bloch_weights``, a copy of ``weights``
+LEGACY_TRINE_STATES = {
+    "dim": 2,
+    "states": [[1, 0], [0.5, 0.8660254037844386], [0.5, -0.8660254037844386]],
+}
+LEGACY_TRINE_CERTIFICATE = {
+    "bloch_weights": [0.666666666667, 0.666666666667, 0.666666666667],
+    "method": "QubitBloch",
+    "notes": "strictly positive weights cancel the Bloch vectors; LP margin s* = 0.333",
+    "povm": {
+        "dim": 2,
+        "effects": [
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.666666666667, 0.0]]],
+            [[[0.5, 0.0], [-0.288675134595, 0.0]], [[-0.288675134595, 0.0], [0.166666666667, 0.0]]],
+            [[[0.5, 0.0], [0.288675134595, 0.0]], [[0.288675134595, 0.0], [0.166666666667, 0.0]]],
+        ],
+    },
+    "tool_version": "0.1.0",
+    "verdict": "AntidistYes",
+    "weights": [0.666666666667, 0.666666666667, 0.666666666667],
+}
 
 
 def standard_orbit_triple() -> StateSet:

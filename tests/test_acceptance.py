@@ -8,7 +8,6 @@ run in definition order (pytest's default).
 import time
 
 import numpy as np
-import pytest
 
 from antidist import (
     Chart,
@@ -18,11 +17,8 @@ from antidist import (
     build_povm,
     chart_from_povm,
     check_sum_condition,
-    covariant_povm,
     decide,
-    exclusion_povm,
     fidelity_bound_check,
-    gram_overlaps,
     orbit,
     povm_from_chart,
     qubit_complete,
@@ -57,7 +53,7 @@ def test_criterion_1_weighted_sum_reproduction():
 
     result = check_sum_condition(triple, weights)
     assert result.satisfied
-    m = build_povm(triple, result)
+    m = build_povm(triple, result.weights, result.projector_r)
     for effect, frozen in zip(m.effects, helpers.SUM_TRIPLE_POVM):
         assert np.abs(effect - frozen).max() <= 1e-10
 
@@ -97,7 +93,7 @@ def test_criterion_3_quaternion_orbit():
     assert np.abs(total - 2 * np.eye(2)).max() <= 1e-10
 
     c, r_proj = schur_sum(orb)
-    m = covariant_povm(orb, c, r_proj)
+    m = build_povm(orb.members, np.full(orb.members.n, 1 / c), r_proj)
     sset = orb.members
     assert verify_antidistinguishing(sset, m)
 
@@ -125,7 +121,7 @@ def test_criterion_4_symmetric_group_orbit():
     assert np.abs(weights - 2 / 3).max() <= 1e-10
     result = check_sum_condition(sset, weights)
     assert result.satisfied
-    assert verify_antidistinguishing(sset, build_povm(sset, result))
+    assert verify_antidistinguishing(sset, build_povm(sset, result.weights, result.projector_r))
     CERTIFIED.append(sset)
     print("criterion 4: PASS (3-element orbit, sum 3/2 * rank-2 projector, weights 2/3)")
 
@@ -140,7 +136,7 @@ def test_criterion_5_qubit_oracle_equivalence():
         oracle = helpers.linprog_strictly_feasible(bloch_vectors(sset))
         assert verdict.feasible == oracle, f"trial {trial}: decision disagrees with LP oracle"
         if verdict.feasible:
-            m = exclusion_povm(sset, verdict.weights)
+            m = build_povm(sset, verdict.weights, np.eye(2))
             assert verify_antidistinguishing(sset, m)
             # the necessary bound never contradicts a feasible verdict
             assert not fidelity_bound_check(sset).violated
@@ -165,7 +161,7 @@ def test_criterion_6_completion_soundness():
             assert np.linalg.norm(added.projector - p) > 1e-7
         enlarged = StateSet.join(sset, added)
         assert qubit_decide(enlarged).feasible
-        assert verify_antidistinguishing(enlarged, exclusion_povm(enlarged, verdict.weights))
+        assert verify_antidistinguishing(enlarged, build_povm(enlarged, verdict.weights, np.eye(2)))
         CERTIFIED.append(enlarged)
         completed += 1
     print("criterion 6: PASS (500 infeasible sets completed by exactly one state)")
@@ -247,7 +243,7 @@ def test_criterion_9_chart_roundtrip():
                 continue
             result = check_sum_condition(sset, verdict.weights)
         assert result.satisfied
-        m = build_povm(sset, result)
+        m = build_povm(sset, result.weights, result.projector_r)
         chart = chart_from_povm(sset, m)
         assert verify_chart(chart)
         m2 = povm_from_chart(chart)

@@ -43,7 +43,8 @@ def test_frozen_chart_verifies():
 
 def test_chart_roundtrip_from_sum_condition_povm():
     triple = helpers.sum_condition_triple()
-    m = build_povm(triple, check_sum_condition(triple, solve_weights(triple)))
+    res = check_sum_condition(triple, solve_weights(triple))
+    m = build_povm(triple, res.weights, res.projector_r)
     chart = chart_from_povm(triple, m)
     assert verify_chart(chart)
     m2 = povm_from_chart(chart)
@@ -136,7 +137,7 @@ def test_roundtrip_randomized():
         orb, c, _ = helpers.random_certified_orbit(rng)
         sset = orb.members
         res = check_sum_condition(sset, np.full(sset.n, 1.0 / c))
-        m = build_povm(sset, res)
+        m = build_povm(sset, res.weights, res.projector_r)
         chart = chart_from_povm(sset, m)
         assert verify_chart(chart)
         assert chart.alphas.min() >= 0.0 and chart.alphas.max() <= 1.0 + 1e-9

@@ -160,6 +160,13 @@ def test_verify_roundtrip(triple_file, tmp_path, capsys):
     assert "verified" in out
 
 
+def test_verify_accepts_a_certificate_with_bloch_weights(tmp_path, capsys):
+    states = write_json(tmp_path / "trine.json", helpers.LEGACY_TRINE_STATES)
+    cert = write_json(tmp_path / "cert.json", helpers.LEGACY_TRINE_CERTIFICATE)
+    code, out, _ = run(capsys, "verify", states, cert)
+    assert code == 0 and "verified" in out
+
+
 def test_verify_rejects_identity_split(triple_file, tmp_path, capsys):
     povm_doc = {"dim": 3, "effects": [io.matrix_to_wire(np.eye(3) / 3)] * 3}
     povm_path = write_json(tmp_path / "split.json", povm_doc)
@@ -212,6 +219,21 @@ def test_complete_coplanar_fan(tmp_path, capsys):
     assert np.isclose(np.linalg.norm(added), 1.0, atol=1e-9)
     enlarged_doc = json.loads(out_states.read_text())
     assert len(enlarged_doc["states"]) == 4
+
+
+@pytest.mark.parametrize("bloch", [
+    helpers.TETRA_BLOCH,  # s* = 0.25, Bloch sum 0
+    [(0, 0, -1), (0.5, 0, np.sqrt(3) / 2), (-0.5, 0, np.sqrt(3) / 2)],  # completion is -z
+])
+def test_complete_at_tolerance_above_the_margin_exits_as_input_error(tmp_path, capsys, bloch):
+    from antidist import state_from_bloch
+
+    sset = StateSet([state_from_bloch(r) for r in bloch])
+    path = write_json(tmp_path / "set.json", state_doc(sset))
+    code, out, err = run(capsys, "complete", path, "--tolerance", "0.3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "internal error" not in err
+    assert "s* = " in err and "tolerance 0.3" in err
 
 
 def test_complete_wrong_dimension(triple_file, capsys):

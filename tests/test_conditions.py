@@ -17,8 +17,14 @@ from antidist import (
     union_povm,
     verify_antidistinguishing,
 )
-from antidist import linalg
-from antidist.errors import CountMismatch, DimensionOne, OverlappingSets, RankTooSmall
+from antidist.errors import (
+    CountMismatch,
+    DimensionOne,
+    NotNormalized,
+    NotPsd,
+    OverlappingSets,
+    RankTooSmall,
+)
 
 import helpers
 
@@ -120,7 +126,7 @@ def test_check_sum_condition():
 def test_build_povm_reproduces_frozen_matrices():
     triple = helpers.sum_condition_triple()
     res = check_sum_condition(triple, solve_weights(triple))
-    m = build_povm(triple, res)
+    m = build_povm(triple, res.weights, res.projector_r)
     for effect, frozen in zip(m.effects, helpers.SUM_TRIPLE_POVM):
         assert np.abs(effect - frozen).max() <= 1e-10
     assert verify_antidistinguishing(triple, m)
@@ -130,7 +136,7 @@ def test_build_povm_tetrahedron():
     tet = helpers.tetrahedron()
     res = check_sum_condition(tet, solve_weights(tet))
     assert res.satisfied and res.rank_r == 2
-    m = build_povm(tet, res)
+    m = build_povm(tet, res.weights, res.projector_r)
     # with t = 1/2, r = 2 the formula collapses to (1 - P)/2 and sums to 1
     for effect, p in zip(m.effects, tet.projectors):
         assert np.abs(effect - (np.eye(2) - p) / 2).max() <= 1e-10
@@ -141,7 +147,7 @@ def test_build_povm_tetrahedron():
 def test_build_povm_two_orthogonal_states():
     sset = basis_set(2, 0, 1)
     res = check_sum_condition(sset, np.ones(2))
-    m = build_povm(sset, res)
+    m = build_povm(sset, res.weights, res.projector_r)
     assert np.allclose(m.effects[0], sset.projectors[1])
     assert np.allclose(m.effects[1], sset.projectors[0])
 
@@ -151,7 +157,20 @@ def test_build_povm_rank_guard():
     res = check_sum_condition(single, np.ones(1))
     assert res.satisfied and res.rank_r == 1
     with pytest.raises(RankTooSmall):
-        build_povm(single, res)
+        build_povm(single, res.weights, res.projector_r)
+
+
+def test_build_povm_rejects_weights_that_miss_the_condition():
+    tet = helpers.tetrahedron()
+    # unit weights give sum_j t_j P_j = 2 I, so the effects sum to 2 I
+    with pytest.raises(NotNormalized):
+        build_povm(tet, np.ones(4), np.eye(2))
+    flipped = np.full(4, 0.5)
+    flipped[2] = -0.5
+    with pytest.raises(NotPsd):
+        build_povm(tet, flipped, np.eye(2))
+    with pytest.raises(RankTooSmall):
+        build_povm(tet, np.full(4, 0.5), np.diag([1.0, 0.0]))
 
 
 def test_weight_bounds_when_satisfied():
@@ -174,7 +193,7 @@ def test_sum_condition_pipeline_soundness_randomized():
         orb, c, _ = helpers.random_certified_orbit(rng)
         sset = orb.members
         res = check_sum_condition(sset, np.full(sset.n, 1.0 / c))
-        m = build_povm(sset, res)
+        m = build_povm(sset, res.weights, res.projector_r)
         assert verify_antidistinguishing(sset, m)
         checked += 1
     for _ in range(60):
@@ -182,7 +201,7 @@ def test_sum_condition_pipeline_soundness_randomized():
         n = int(rng.integers(2, d + 1))
         sset = helpers.random_orthonormal_subset(d, n, rng)
         res = check_sum_condition(sset, np.ones(n))
-        m = build_povm(sset, res)
+        m = build_povm(sset, res.weights, res.projector_r)
         assert verify_antidistinguishing(sset, m)
         checked += 1
     while checked < 200:
@@ -192,7 +211,7 @@ def test_sum_condition_pipeline_soundness_randomized():
             continue
         res = check_sum_condition(sset, verdict.weights)
         assert res.satisfied
-        m = build_povm(sset, res)
+        m = build_povm(sset, res.weights, res.projector_r)
         assert verify_antidistinguishing(sset, m)
         checked += 1
     assert checked >= 200
@@ -201,7 +220,8 @@ def test_sum_condition_pipeline_soundness_randomized():
 def test_trace_free_equivalence_on_accepted_certificates():
     # zero trace against an effect means the operator product itself vanishes
     triple = helpers.sum_condition_triple()
-    m = build_povm(triple, check_sum_condition(triple, solve_weights(triple)))
+    res = check_sum_condition(triple, solve_weights(triple))
+    m = build_povm(triple, res.weights, res.projector_r)
     for rho, effect in zip(triple.projectors, m.effects):
         assert np.linalg.norm(rho @ effect) <= 1e-6
 
@@ -232,7 +252,8 @@ def test_union_povm():
     assert verify_antidistinguishing(joined, m)
 
     triple = helpers.sum_condition_triple()
-    mt = build_povm(triple, check_sum_condition(triple, solve_weights(triple)))
+    res = check_sum_condition(triple, solve_weights(triple))
+    mt = build_povm(triple, res.weights, res.projector_r)
     e3 = np.array([0, 0, 1.0])
     plus = np.array([1, 1, 0]) / np.sqrt(2)
     pair = StateSet([PureState(e3), PureState(plus)])

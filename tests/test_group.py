@@ -4,9 +4,8 @@ import pytest
 from antidist import (
     GroupRep,
     PureState,
-    builtin_quaternion,
+    build_povm,
     builtin_symmetric_permutation,
-    covariant_povm,
     orbit,
     schur_sum,
     standard_subspace_vectors,
@@ -129,7 +128,7 @@ def test_schur_sum_rejects_mixed_invariant_subspaces():
 def test_covariant_povm_tetrahedral():
     orb = orbit(helpers.cached_quaternion(), tetrahedral_state())
     c, r_proj = schur_sum(orb)
-    m = covariant_povm(orb, c, r_proj)
+    m = build_povm(orb.members, np.full(orb.members.n, 1 / c), r_proj)
     # uniform weights 1/2 with a rank-2 identity give effects (1 - P)/2
     for effect, member in zip(m.effects, orb.members.projectors):
         assert np.abs(effect - (np.eye(2) - member) / 2).max() <= 1e-10
@@ -142,7 +141,7 @@ def test_covariant_povm_standard_triple():
     orb = orbit(rep, PureState(np.array([1, -1, 0]) / np.sqrt(2)))
     c, r_proj = schur_sum(orb)
     assert np.isclose(1.0 / c, 2 / 3)
-    m = covariant_povm(orb, c, r_proj)
+    m = build_povm(orb.members, np.full(orb.members.n, 1 / c), r_proj)
     assert verify_antidistinguishing(orb.members, m)
 
 
@@ -150,7 +149,7 @@ def test_covariant_povm_cyclic_basis():
     rep = helpers.cached_cyclic(3)
     orb = orbit(rep, PureState([1, 0, 0]))
     c, r_proj = schur_sum(orb)
-    m = covariant_povm(orb, c, r_proj)
+    m = build_povm(orb.members, np.full(orb.members.n, 1 / c), r_proj)
     for effect, member in zip(m.effects, orb.members.projectors):
         assert np.abs(effect - (np.eye(3) - member) / 2).max() <= 1e-10
     assert verify_antidistinguishing(orb.members, m)
@@ -160,7 +159,7 @@ def test_generated_sets_always_certify():
     rng = np.random.default_rng(97)
     for _ in range(50):
         orb, c, r_proj = helpers.random_certified_orbit(rng)
-        m = covariant_povm(orb, c, r_proj)
+        m = build_povm(orb.members, np.full(orb.members.n, 1 / c), r_proj)
         assert verify_antidistinguishing(orb.members, m)
 
 

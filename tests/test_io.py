@@ -202,3 +202,11 @@ def test_certificate_from_doc_rejects_malformed_evidence(field, value):
 def test_certificate_from_doc_needs_a_document(doc):
     with pytest.raises(FileFormatError):
         io.certificate_from_doc(doc)
+
+
+def test_certificate_from_doc_ignores_bloch_weights():
+    cert = io.certificate_from_doc(helpers.LEGACY_TRINE_CERTIFICATE)
+    assert cert.method.value == "QubitBloch"
+    assert np.array_equal(cert.weights, helpers.LEGACY_TRINE_CERTIFICATE["weights"])
+    assert len(cert.povm.effects) == 3
+    assert "bloch_weights" not in io.certificate_to_doc(cert)

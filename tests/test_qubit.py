@@ -6,8 +6,8 @@ from antidist import (
     StateSet,
     bloch_from_state,
     bloch_vectors,
+    build_povm,
     check_sum_condition,
-    exclusion_povm,
     qubit_complete,
     qubit_decide,
     state_from_bloch,
@@ -83,7 +83,7 @@ def test_feasible_weights_certify():
         assert np.linalg.norm(verdict.weights @ bloch_vectors(sset)) <= 1e-8
         assert abs(verdict.weights.sum() - 2.0) <= 1e-8
         assert verdict.weights.min() > 0
-        m = exclusion_povm(sset, verdict.weights)
+        m = build_povm(sset, verdict.weights, np.eye(2))
         assert verify_antidistinguishing(sset, m)
         count += 1
 
@@ -126,7 +126,7 @@ def test_scale_invariance_of_feasibility():
         assert np.linalg.norm(scaled @ bloch_vectors(sset)) <= 1e-8 * scale
         # rescaling to sum 2 restores a certifying weight vector
         rescaled = 2 * scaled / scaled.sum()
-        assert verify_antidistinguishing(sset, exclusion_povm(sset, rescaled))
+        assert verify_antidistinguishing(sset, build_povm(sset, rescaled, np.eye(2)))
 
 
 def test_complete_single_state():
@@ -146,7 +146,7 @@ def test_complete_two_states():
     assert np.allclose(verdict.added_state, expected, atol=1e-10)
     enlarged = StateSet.join(sset, added)
     assert qubit_decide(enlarged).feasible
-    assert verify_antidistinguishing(enlarged, exclusion_povm(enlarged, verdict.weights))
+    assert verify_antidistinguishing(enlarged, build_povm(enlarged, verdict.weights, np.eye(2)))
 
 
 def test_complete_already_feasible():
@@ -180,7 +180,7 @@ def test_completion_soundness_randomized():
             assert np.linalg.norm(added.projector - p) > 1e-7
         enlarged = StateSet.join(sset, added)
         assert qubit_decide(enlarged).feasible
-        assert verify_antidistinguishing(enlarged, exclusion_povm(enlarged, verdict.weights))
+        assert verify_antidistinguishing(enlarged, build_povm(enlarged, verdict.weights, np.eye(2)))
         completed += 1
 
 
@@ -251,5 +251,4 @@ def test_large_set_weights_certify():
     assert verdict.weights.min() > 0
     assert abs(verdict.weights.sum() - 2.0) <= 1e-12
     assert np.linalg.norm(verdict.weights @ bloch_vectors(sset)) <= 1e-12
-    assert verify_antidistinguishing(sset, verdict.povm)
-    assert verify_antidistinguishing(sset, exclusion_povm(sset, verdict.weights))
+    assert verify_antidistinguishing(sset, build_povm(sset, verdict.weights, np.eye(2)))

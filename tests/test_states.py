@@ -145,7 +145,6 @@ def test_certificate_fields_survive_serialization():
         Verdict.YES,
         Method.QUBIT_BLOCH,
         weights=np.array([1.0, 1.0]),
-        bloch_weights=np.array([1.0, 1.0]),
         added_bloch=np.array([0.0, 0.0, -1.0]),
         notes="test",
     )
