@@ -19,7 +19,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .conditions import verify_antidistinguishing
@@ -155,6 +154,8 @@ def verify_witness(states: StateSet, witness, tol: float = linalg.DEFAULT_TOL) -
 def _primal(v: np.ndarray) -> np.ndarray:
     """Effect stack V_j B_j B_j^dagger V_j^dagger minimising ||sum_j M_j - I||_F^2
     (gradient 4 V_j^dagger (sum M - I) V_j B_j), from B_j = sqrt(d/(n(d-1))) I."""
+    from scipy.optimize import minimize  # here, since loading it costs more than most commands
+
     n, d, k = v.shape
     vh = np.swapaxes(v.conj(), 1, 2)
 
@@ -177,6 +178,8 @@ def _primal(v: np.ndarray) -> np.ndarray:
 def _dual(v: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Hermitian Y with tr Y = -1 minimising
     sum_j sum_i min(0, lambda_i(V_j^dagger Y V_j) - delta)^2."""
+    from scipy.optimize import minimize  # here, since loading it costs more than most commands
+
     d = v.shape[1]
     eye = np.eye(d)
     vh = np.swapaxes(v.conj(), 1, 2)

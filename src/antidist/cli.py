@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a POVM against a state set")
     p.add_argument("states")
-    p.add_argument("povm", help="POVM JSON file (certificate files accepted)")
+    p.add_argument("povm", help="POVM JSON file, or an AntidistYes certificate")
     common(p)
 
     p = sub.add_parser("complete", help="complete a qubit set by at most one state")

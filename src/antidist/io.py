@@ -1,13 +1,22 @@
 """JSON wire formats.
 
-Complex numbers serialize as [re, im] pairs and matrices as row-major
-nested lists.  Every float is rounded to 12 significant digits before
-writing, so identical inputs produce byte-identical files.
+A complex number is an [re, im] pair, a vector a list of pairs, a matrix a
+row-major list of vectors and a stack of matrices a list of matrices; real
+vectors are lists of floats.
+
+``dumps_doc`` writes a document with its keys sorted and indented by two,
+and each vector or matrix row on one line.  It writes every float of an
+array once, as ``'%.12g' % x`` (12 significant digits), so identical inputs
+give byte-identical files.  The readers take any JSON layout, the older
+one-number-per-line files included, and bare real numbers in place of
+pairs.  They turn each array into numpy with one call and fall back to one
+entry at a time only to name a malformed entry.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -16,18 +25,18 @@ from .errors import AntidistError, FileFormatError
 from .group import GroupRep
 from .states import Certificate, Method, Povm, StateSet, Verdict
 
-
-def _sig(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [_sig(z.real), _sig(z.imag)]
-
-
 #: the types of JSON numbers: exact, so that true and false (bool) are not numbers
-_NUMBERS = (int, float)
+_NUMBERS = frozenset({int, float})
+#: JSON's names of the floats that '%.12g' writes as nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: compact JSON with sorted keys, through json's C encoder
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _pairs(a) -> list:
+    """A complex array as nested lists that end in [re, im] pairs of floats."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def pair_to_complex(entry) -> complex:
@@ -43,21 +52,45 @@ def pair_to_complex(entry) -> complex:
     raise FileFormatError(f"expected a number or [re, im] pair, got {entry!r}")
 
 
+def _complex_array(raw, ndim: int) -> np.ndarray | None:
+    """``raw`` as a complex array of ``ndim`` axes in one numpy call, when it
+    is lists nested ``ndim`` deep over [re, im] pairs of ints and floats
+    alone and of one shape; None otherwise, for the per-entry readers."""
+    leaves = raw
+    try:
+        for _ in range(ndim):
+            leaves = chain.from_iterable(leaves)
+        if not set(map(type, leaves)) <= _NUMBERS:
+            return None
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a bare leaf, ragged rows, 10**400
+        return None
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        return None
+    return arr.view(complex)[..., 0]
+
+
 def vector_to_wire(v) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
+    return _pairs(v)
 
 
 def wire_to_vector(entries) -> np.ndarray:
+    vec = _complex_array(entries, 1)
+    if vec is not None:
+        return vec
     if not isinstance(entries, list):
         raise FileFormatError(f"expected a vector as a list, got {entries!r}")
     return np.array([pair_to_complex(e) for e in entries], dtype=complex)
 
 
 def matrix_to_wire(m) -> list:
-    return [vector_to_wire(row) for row in np.asarray(m, dtype=complex)]
+    return _pairs(m)
 
 
 def wire_to_matrix(rows) -> np.ndarray:
+    mat = _complex_array(rows, 2)
+    if mat is not None:
+        return mat
     if not isinstance(rows, list):
         raise FileFormatError(f"expected a matrix as a list of rows, got {rows!r}")
     vectors = [wire_to_vector(row) for row in rows]
@@ -68,7 +101,7 @@ def wire_to_matrix(rows) -> np.ndarray:
 
 
 def real_vector_to_wire(v) -> list[float]:
-    return [_sig(x) for x in np.asarray(v, dtype=float)]
+    return np.asarray(v, dtype=float).tolist()
 
 
 def _load_json(path: str):
@@ -80,7 +113,59 @@ def _load_json(path: str):
 
 
 def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as JSON text: keys sorted, dicts and lists of matrices spread
+    over lines indented by two, each vector or matrix row of floats on one
+    line with every float at 12 significant digits, anything else compact."""
+    return _layout(doc, "\n") + "\n"
+
+
+def _layout(value, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{_compact(key)}: {_layout(value[key], inner)}" for key in sorted(value)]
+        return "{" + ",".join(items) + newline + "}"
+    depth = _depth(value)
+    if depth > 3:
+        return "[" + ",".join([inner + _layout(item, inner) for item in value]) + newline + "]"
+    rows = _float_rows(value if depth == 3 else [value]) if depth else None
+    if rows is None:
+        return _compact(value)
+    if depth < 3:
+        return rows[0]
+    return "[" + ",".join([inner + row for row in rows]) + newline + "]"
+
+
+def _depth(value) -> int:
+    """How deep lists nest along the first items of ``value``."""
+    depth = 0
+    while isinstance(value, list) and value:
+        value, depth = value[0], depth + 1
+    return depth
+
+
+def _float_rows(rows: list) -> list[str] | None:
+    """Rows of one length, each a list of floats or of [re, im] pairs of
+    floats, as one line of JSON each; None for any other list."""
+    try:
+        items = list(chain.from_iterable(rows))
+        pairs = type(items[0]) is list
+        flat = list(chain.from_iterable(items)) if pairs else items
+        width = len(items) // len(rows)
+        if (set(map(len, rows)) != {width} or set(map(type, flat)) != {float}
+                or pairs and set(map(len, items)) != {2}):
+            return None
+    except TypeError:  # a row or an item that is not a list
+        return None
+    template = "[" + ",".join(["[%s,%s]" if pairs else "%s"] * width) + "]"
+    texts, step = _floats(flat), len(flat) // len(rows)
+    return [template % tuple(texts[k:k + step]) for k in range(0, len(texts), step)]
+
+
+def _floats(values) -> list[str]:
+    """Each float as JSON text: '%.12g' with '.0' on an integral value, so that
+    it reads back as a float, and JSON's names for the non-finite ones."""
+    return [text if "." in text or "e" in text else _NON_FINITE.get(text, text + ".0")
+            for text in map("%.12g".__mod__, values)]
 
 
 def _entries(path: str, doc, key: str) -> tuple[int, list, list | None]:
@@ -105,10 +190,12 @@ def load_state_set(path: str) -> tuple[StateSet, list[str]]:
     if isinstance(doc, dict) and "state_set" in doc:
         doc = doc["state_set"]
     dim, raw, labels = _entries(path, doc, "states")
-    rows = [wire_to_vector(entry) for entry in raw]
-    for k, vec in enumerate(rows):
-        if vec.size != dim:
-            raise FileFormatError(f"{path}: state {k} has {vec.size} entries, expected {dim}")
+    rows = _complex_array(raw, 2)
+    if rows is None or rows.shape[1] != dim:
+        rows = [wire_to_vector(entry) for entry in raw]
+        for k, vec in enumerate(rows):
+            if vec.size != dim:
+                raise FileFormatError(f"{path}: state {k} has {vec.size} entries, expected {dim}")
     try:
         states = StateSet(rows)
     except (AntidistError, ValueError) as exc:
@@ -123,15 +210,14 @@ def load_state_set(path: str) -> tuple[StateSet, list[str]]:
 def state_set_to_doc(states: StateSet, labels=None) -> dict:
     if labels is None:
         labels = [f"s{k}" for k in range(states.n)]
-    return {
-        "dim": states.dim,
-        "states": [vector_to_wire(v) for v in states.vectors],
-        "labels": list(labels),
-    }
+    return {"dim": states.dim, "states": _pairs(states.vectors), "labels": list(labels)}
 
 
-def _square_matrices(path: str, raw: list, dim: int, what: str) -> list[np.ndarray]:
+def _square_matrices(path: str, raw: list, dim: int, what: str) -> np.ndarray | list[np.ndarray]:
     """The entries of ``raw`` as dim x dim matrices, each named ``what``."""
+    stack = _complex_array(raw, 3)
+    if stack is not None and stack.shape[1:] == (dim, dim):
+        return stack
     mats = [wire_to_matrix(rows) for rows in raw]
     for k, m in enumerate(mats):
         if m.shape != (dim, dim):
@@ -140,13 +226,20 @@ def _square_matrices(path: str, raw: list, dim: int, what: str) -> list[np.ndarr
 
 
 def load_povm(path: str, tol: float = linalg.DEFAULT_TOL) -> Povm:
-    """Read {dim, effects: [matrix...]}; certificate files are accepted too."""
+    """Read {dim, effects: [matrix...]}, or the POVM of an AntidistYes
+    certificate, after the whole certificate has been read."""
     doc = _load_json(path)
-    if isinstance(doc, dict) and "effects" not in doc:
-        if doc.get("povm") is None and "verdict" in doc:
-            raise FileFormatError(f"{path}: {doc['verdict']} certificate carries no POVM")
-        doc = doc.get("povm", doc)
-    return _povm_from_doc(path, doc, tol)
+    if not isinstance(doc, dict) or "verdict" not in doc and "povm" not in doc:
+        return _povm_from_doc(path, doc, tol)
+    try:
+        cert = certificate_from_doc(doc, tol)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    if cert.povm is None:
+        raise FileFormatError(f"{path}: {cert.verdict.value} certificate carries no POVM")
+    if cert.verdict is not Verdict.YES:
+        raise FileFormatError(f"{path}: {cert.verdict.value} certificate cannot certify its POVM")
+    return cert.povm
 
 
 def _povm_from_doc(path: str, doc, tol: float) -> Povm:
@@ -159,7 +252,7 @@ def _povm_from_doc(path: str, doc, tol: float) -> Povm:
 
 
 def povm_to_doc(m: Povm) -> dict:
-    return {"dim": m.dim, "effects": [matrix_to_wire(e) for e in m.effects]}
+    return {"dim": m.dim, "effects": _pairs(m.effects)}
 
 
 def load_group(path: str, tol: float = linalg.DEFAULT_TOL) -> GroupRep:
@@ -174,7 +267,7 @@ def load_group(path: str, tol: float = linalg.DEFAULT_TOL) -> GroupRep:
 
 
 def _real_vector(entries) -> np.ndarray:
-    if not isinstance(entries, list) or any(type(x) not in _NUMBERS for x in entries):
+    if not isinstance(entries, list) or not set(map(type, entries)) <= _NUMBERS:
         raise FileFormatError(f"expected a list of real numbers, got {entries!r}")
     try:
         return np.array(entries, dtype=float)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import linalg
 from .errors import WrongDimension
@@ -79,6 +78,8 @@ def _max_min_weights(rvecs: np.ndarray) -> tuple[float, np.ndarray | None]:
 
     Returns (-inf, None) when the LP is infeasible.
     """
+    from scipy.optimize import linprog  # here, since loading it costs more than most commands
+
     n = rvecs.shape[0]
     a_eq = np.vstack([rvecs.T, np.ones(n)])
     b_eq = np.array([0.0, 0.0, 0.0, 1.0])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,29 @@ def test_verify_accepts_a_certificate_with_bloch_weights(tmp_path, capsys):
     cert = write_json(tmp_path / "cert.json", helpers.LEGACY_TRINE_CERTIFICATE)
     code, out, _ = run(capsys, "verify", states, cert)
     assert code == 0 and "verified" in out
+
+
+@pytest.mark.parametrize("change", [
+    {"verdict": "Bogus", "method": "Nope", "witness": "x"},
+    {"weights": [True, 1]},
+    {"verdict": "AntidistNo"},
+])
+def test_verify_refuses_a_certificate_it_cannot_read(triple_file, tmp_path, capsys, change):
+    cert_path = tmp_path / "cert.json"
+    assert run(capsys, "check", triple_file, "-o", str(cert_path))[0] == 0
+    doc = {**json.loads(cert_path.read_text()), **change}
+    code, out, err = run(capsys, "verify", triple_file, write_json(cert_path, doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "internal error" not in err
+
+
+def test_cli_import_leaves_the_solvers_unloaded():
+    probe = "import sys, antidist.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_rejects_identity_split(triple_file, tmp_path, capsys):
