@@ -102,7 +102,9 @@ def _named_base(name: str, dim: int) -> PureState:
     try:
         entries = json.loads(name)
     except json.JSONDecodeError:
-        raise FileFormatError(f"unknown base state {name!r}") from None
+        entries = None
+    if not isinstance(entries, list):  # json reads '-Infinity' and '5' as numbers
+        raise FileFormatError(f"unknown base state {name!r}")
     return PureState(io.wire_to_vector(entries))
 
 
@@ -210,9 +212,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_base(argv: list[str]) -> list[str]:
+    """``--base VALUE`` as the one token ``--base=VALUE``: argparse reads a separate
+    value that starts with '-', such as ``-Infinity``, as an option."""
+    if "--base" not in argv[:-1]:
+        return argv
+    k = argv.index("--base")
+    return [*argv[:k], f"--base={argv[k + 1]}", *argv[k + 2:]]
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_base(list(sys.argv[1:] if argv is None else argv)))
     except SystemExit as exc:  # argparse has printed the help (code 0) or the error
         return 0 if exc.code == 0 else EXIT_ERROR
     try:

@@ -17,14 +17,17 @@ from .errors import SingularSystem
 
 #: the default ``tol`` (``--tolerance``), the numerical zero of every scalar a
 #: verdict rests on: exclusion probabilities (zero when <= tol); responses,
-#: weights and the qubit LP margin (positive when > tol); overlaps (orthogonal
-#: when <= tol); eigenvalues (>= -tol); singular values (a rank counts those
-#: > tol); the fidelity-sum excess, the witness slack, and the eigenvalues that
-#: ``chart_from_povm`` keeps (> tol).  The four constants below ignore ``tol``.
+#: weights and the qubit margin (positive when > tol); overlaps (orthogonal
+#: when <= tol); eigenvalues (>= -tol); singular values of a state set (a rank
+#: counts those > tol); the fidelity-sum excess, the witness slack, and the
+#: eigenvalues that ``chart_from_povm`` keeps (> tol).  The four constants below
+#: ignore ``tol``.
 DEFAULT_TOL = 1e-9
 
 #: Frobenius residual of an operator identity: sum_j M_j = I in a POVM,
-#: sum_j t_j P_j = R, an orbit sum = c R, a chart's columns and resolution
+#: sum_j t_j P_j = R (for qubit weights, sqrt(2) times the origin's distance
+#: from the Bloch vectors' affine hull), an orbit sum = c R, a chart's columns
+#: and resolution
 RESIDUAL_TOL = 1e-8
 
 #: operator Frobenius distance at or below which two states or group elements are the same
@@ -34,7 +37,8 @@ DUPLICATE_TOL = 1e-7
 NORM_SLACK = 1e-6
 
 #: singular values below this fraction of the largest one make a linear
-#: system singular (a relative floor, not an absolute pivot size)
+#: system singular (a relative floor, not an absolute pivot size), and do not
+#: count toward the rank of the centred Bloch vectors of a qubit set
 PIVOT_FLOOR = 1e-12
 
 

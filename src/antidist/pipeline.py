@@ -3,8 +3,9 @@
 Order of attack for a pure state set:
 
 1. pairwise orthogonality (yes via the outcome-swapped measurement),
-2. the exact qubit decision when d = 2 (yes or no, from one LP whose
-   margin the notes give), and again after step 4 for a span of rank 2,
+2. the exact qubit decision when d = 2 (yes or no, from the margin s*, the
+   gauge of the centred Bloch vectors' convex hull, which the notes give),
+   and again after step 4 for a span of rank 2,
 3. the pairwise-fidelity bound (no on violation),
 4. Gram weights plus the sum-equals-projection test (yes with the
    measurement ``conditions.build_povm`` makes of the weights; every
@@ -94,7 +95,7 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
 
 
 def _qubit_certificate(states: StateSet, span: np.ndarray | None, tol: float) -> Certificate:
-    """The qubit LP's verdict on the states (``span`` None, d = 2) or on their unit
+    """The qubit margin's verdict on the states (``span`` None, d = 2) or on their unit
     coordinates in the orthonormal columns ``span`` of a rank-2 span.  A YES is the
     sum condition with R = I for d = 2 and R = span span^dagger for a span, where
     ``build_povm`` takes the unit coordinates mapped back into the span, so the

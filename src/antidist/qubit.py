@@ -2,15 +2,21 @@
 
 A pure qubit set is antidistinguishable exactly when some strictly positive
 weights make the Bloch vectors sum to zero, i.e. when the origin lies in the
-relative interior of their convex hull.  One linear program decides it:
+relative interior of their convex hull.  The margin
 
-    maximize s  subject to  sum_j t_j r_j = 0,  sum_j t_j = 1,  t_j >= s,
+    s* = max s  subject to  sum_j t_j r_j = 0,  sum_j t_j = 1,  t_j >= s
 
-with t and s free.  The set is antidistinguishable iff the margin s* is
-positive; s* is -inf when no weights summing to one cancel the vectors (the
-origin lies outside their affine hull).  The solver meets the equalities only
-to its own tolerance, so the optimal t is projected back onto them by one
-least-squares step before it is rescaled to sum 2 and used as a certificate.
+decides it: the set is antidistinguishable iff s* is positive.  The linear
+program has a closed form.  With m the mean of the r_j, c_j = r_j - m and
+t_j = s + u_j, it reads min sum_j u_j subject to sum_j u_j c_j = -m, u >= 0,
+and s* = (1 - min sum_j u_j) / n.  The c_j sum to zero, so their cone is their
+span and the minimum is the gauge of -m with respect to conv{c_j}: the largest
+ratio normal.(-m) / offset over the facets of that hull.  One SVD gives the
+span and one qhull call the facets.  s* is -inf when the origin lies so far
+from the affine hull of the r_j that no weights meet sum_j t_j P_j = I within
+``linalg.RESIDUAL_TOL``, the threshold of every operator identity.  The
+optimal t is projected onto the equalities by one least-squares step before
+it is rescaled to sum 2 and used as a certificate.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ _PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 @dataclass
 class QubitVerdict:
     """Feasibility verdict; weights sum to 2 when feasible, and ``margin`` is the
-    LP optimum s* that ``qubit_decide`` sets."""
+    margin s* that ``qubit_decide`` sets."""
 
     feasible: bool
     weights: np.ndarray | None = None
@@ -74,33 +80,46 @@ def bloch_vectors(states: StateSet) -> np.ndarray:
 
 
 def _max_min_weights(rvecs: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """The LP margin s* and its weights t, polished and rescaled to sum 2.
+    """The margin s* and its weights t, polished and rescaled to sum 2.
 
-    Returns (-inf, None) when the LP is infeasible.
+    Returns (-inf, None) when -m lies so far from the span of the centred
+    vectors that no weights meet sum_j t_j P_j = I within ``RESIDUAL_TOL``: a
+    distance delta leaves sum_j t_j P_j - I = v.sigma with |v| = delta, whose
+    Frobenius norm is sqrt(2) delta.
+
+    The span coordinates are the left singular vectors of c: a linear image of
+    conv{c_j}, so the gauge is kept, and a point cloud of unit spread in every
+    direction however thin the set, so qhull meets no flat simplex.  A singular
+    value counts toward the span when it exceeds ``PIVOT_FLOOR`` times the
+    largest, not ``tol``: a set tilted out of a plane by less than ``tol`` is
+    decided on its own thin hull, whose weights meet the equalities, not on the
+    plane's, whose weights the polish would move by O(1).
     """
-    from scipy.optimize import linprog  # here, since loading it costs more than most commands
-
     n = rvecs.shape[0]
-    a_eq = np.vstack([rvecs.T, np.ones(n)])
-    b_eq = np.array([0.0, 0.0, 0.0, 1.0])
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    res = linprog(
-        cost,
-        A_ub=np.hstack([-np.eye(n), np.ones((n, 1))]),
-        b_ub=np.zeros(n),
-        A_eq=np.hstack([a_eq, np.zeros((4, 1))]),
-        b_eq=b_eq,
-        bounds=(None, None),
-        method="highs",
-    )
-    if res.status == 2:
+    mean = rvecs.mean(axis=0)
+    u, sing, vt = np.linalg.svd(rvecs - mean, full_matrices=False)
+    rank = int((sing > linalg.PIVOT_FLOOR * sing[0]).sum())
+    pts, along = u[:, :rank], vt[:rank] @ mean
+    if np.sqrt(2.0) * np.linalg.norm(mean - vt[:rank].T @ along) > linalg.RESIDUAL_TOL:
         return -np.inf, None
-    if res.status != 0:
-        raise RuntimeError(f"qubit LP failed: {res.message}")
-    t = res.x[:n]
-    t = t - np.linalg.lstsq(a_eq, a_eq @ t - b_eq, rcond=None)[0]
-    return float(res.x[-1]), 2.0 * t / t.sum()
+    w = -along / sing[:rank]  # -m in the coordinates of pts
+    lam = np.zeros(n)
+    # rank <= 1 only for n <= 2 (a line meets the sphere twice), where m is
+    # orthogonal to r_1 - r_2: then w = 0 and so is every lam_j
+    if rank > 1:
+        from scipy.spatial import ConvexHull  # here, since loading it costs more than most commands
+
+        hull = ConvexHull(pts)  # qhull's Qt is always on: every facet is a simplex
+        ratios = hull.equations[:, :-1] @ w / -hull.equations[:, -1]
+        f = int(np.argmax(ratios))  # the facet that the ray to w crosses, at w / ratios[f]
+        facet = hull.simplices[f]
+        lam[facet] = np.linalg.lstsq(np.vstack([pts[facet].T, np.ones(rank)]),
+                                     np.append(w, ratios[f]), rcond=None)[0]
+    margin = (1.0 - lam.sum()) / n
+    t = margin + lam
+    a_eq = np.vstack([rvecs.T, np.ones(n)])
+    t = t - np.linalg.lstsq(a_eq, a_eq @ t - np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)[0]
+    return margin, 2.0 * t / t.sum()
 
 
 def qubit_decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> QubitVerdict:

@@ -82,6 +82,13 @@ TETRA_BLOCH = np.array(
 ) / np.sqrt(3.0)
 
 
+_PHI = (1 + np.sqrt(5.0)) / 2
+
+#: the twelve vertices (0, +-1, +-phi) of an icosahedron and their cyclic shifts
+ICOSA_BLOCH = np.array([np.roll((0, a, b * _PHI), k) for k in range(3)
+                        for a in (1, -1) for b in (1, -1)]) / np.sqrt(1 + _PHI**2)
+
+
 def tetrahedron() -> StateSet:
     return StateSet([state_from_bloch(r) for r in TETRA_BLOCH])
 
@@ -145,6 +152,13 @@ def random_qubit_set(n: int, rng: np.random.Generator) -> StateSet:
             return StateSet([random_pure(2, rng) for _ in range(n)])
         except Exception:
             continue
+
+
+def real_qubit_set(n: int, rng: np.random.Generator) -> StateSet:
+    """n random qubit states with real amplitudes, so that their Bloch vectors
+    lie on the great circle y = 0."""
+    half = rng.uniform(0, np.pi, n)
+    return StateSet(np.column_stack([np.cos(half), np.sin(half)]))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,9 +239,10 @@ def random_certified_orbit(rng: np.random.Generator):
     return orb, c, r_proj
 
 
-def linprog_strictly_feasible(bloch: np.ndarray, threshold: float = 1e-9) -> bool:
-    """Independent oracle: maximize eps s.t. sum t_j r_j = 0, sum t_j = 2,
-    t_j >= eps, via scipy's LP solver."""
+def linprog_margin(bloch: np.ndarray) -> float:
+    """Independent oracle for the margin: maximize s s.t. sum t_j r_j = 0,
+    sum t_j = 1, t_j >= s (t and s free), via scipy's LP solver; -inf when
+    the LP is infeasible."""
     from scipy.optimize import linprog
 
     n = bloch.shape[0]
@@ -236,14 +251,20 @@ def linprog_strictly_feasible(bloch: np.ndarray, threshold: float = 1e-9) -> boo
     a_eq = np.zeros((4, n + 1))
     a_eq[:3, :n] = bloch.T
     a_eq[3, :n] = 1.0
-    b_eq = np.array([0.0, 0.0, 0.0, 2.0])
-    a_ub = np.zeros((n, n + 1))
-    a_ub[:, :n] = -np.eye(n)
-    a_ub[:, -1] = 1.0
-    b_ub = np.zeros(n)
-    bounds = [(0, None)] * n + [(None, 2)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    return bool(res.status == 0 and res.x is not None and res.x[-1] > threshold)
+    b_eq = np.array([0.0, 0.0, 0.0, 1.0])
+    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=b_eq, bounds=(None, None),
+                  method="highs")
+    if res.status == 2:
+        return -np.inf
+    assert res.status == 0, res.message
+    return float(res.x[-1])
+
+
+def linprog_strictly_feasible(bloch: np.ndarray, threshold: float = 1e-9) -> bool:
+    """Independent oracle: maximize eps s.t. sum t_j r_j = 0, sum t_j = 2,
+    t_j >= eps, via scipy's LP solver."""
+    return 2.0 * linprog_margin(bloch) > threshold
 
 
 def enumeration_strictly_feasible(bloch: np.ndarray, threshold: float = 1e-9) -> bool:

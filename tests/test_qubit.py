@@ -4,10 +4,12 @@ import pytest
 from antidist import (
     PureState,
     StateSet,
+    Verdict,
     bloch_from_state,
     bloch_vectors,
     build_povm,
     check_sum_condition,
+    decide,
     qubit_complete,
     qubit_decide,
     state_from_bloch,
@@ -15,6 +17,7 @@ from antidist import (
     verify_antidistinguishing,
 )
 from antidist.errors import WrongDimension
+from antidist.linalg import RESIDUAL_TOL
 
 import helpers
 
@@ -252,3 +255,90 @@ def test_large_set_weights_certify():
     assert abs(verdict.weights.sum() - 2.0) <= 1e-12
     assert np.linalg.norm(verdict.weights @ bloch_vectors(sset)) <= 1e-12
     assert verify_antidistinguishing(sset, build_povm(sset, verdict.weights, np.eye(2)))
+
+
+def test_margin_matches_lp_oracle():
+    # complex sets, real sets (Bloch vectors on one great circle) and hemisphere
+    # sets: three of each for n = 2..30, and one of each for n = 200
+    rng = np.random.default_rng(109)
+    makers = (helpers.random_qubit_set, helpers.real_qubit_set, helpers.hemisphere_qubit_set)
+    checked = 0
+    for n in [*range(2, 31)] * 3 + [200]:
+        for make in makers:
+            sset = make(n, rng)
+            oracle = helpers.linprog_margin(bloch_vectors(sset))
+            assert np.isclose(qubit_decide(sset).margin, oracle, rtol=0, atol=1e-9), (n, make)
+            checked += 1
+    assert checked >= 200
+
+
+def make_states(bloch):
+    return [state_from_bloch(r) for r in bloch]
+
+
+PLATONIC = {
+    "tetrahedron": (helpers.TETRA_BLOCH, 1 / 4),
+    "octahedron": (np.vstack([np.eye(3), -np.eye(3)]), 1 / 6),
+    "cube": (np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / np.sqrt(3),
+             1 / 8),
+    "icosahedron": (helpers.ICOSA_BLOCH, 1 / 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLATONIC))
+def test_platonic_margins_and_uniform_weights(name):
+    bloch, margin = PLATONIC[name]
+    verdict = qubit_decide(StateSet(make_states(bloch)))
+    assert verdict.feasible
+    assert abs(verdict.margin - margin) <= 1e-12
+    assert np.allclose(verdict.weights, 2 / len(bloch), rtol=0, atol=1e-12)
+
+
+THIN_EPS = (0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-4)
+
+
+def _plane_sets(rng: np.random.Generator, count: int):
+    """Bloch vectors in the xy-plane: a great circle, an open half circle, and
+    {a, -a, points on one side of the line through them}, ``count`` of each."""
+    for _ in range(count):
+        n = int(rng.integers(3, 12))
+        for angles in (rng.uniform(0, 2 * np.pi, n), rng.uniform(0, np.pi, n),
+                       np.append([0, np.pi], rng.uniform(0.05, np.pi - 0.05, n - 2))):
+            yield np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
+
+
+@pytest.mark.parametrize("eps", THIN_EPS)
+def test_thin_sets_near_rank_two(eps):
+    # each Bloch vector tilted out of the plane by eps times a normal deviate:
+    # decide raises nothing, every YES verifies at tol, and s* is -inf exactly
+    # when the origin lies so far from the Bloch vectors' affine hull that no
+    # weights meet sum_j t_j P_j = I within RESIDUAL_TOL
+    rng = np.random.default_rng(113)
+    for plane in _plane_sets(rng, 12):
+        tilted = plane + eps * np.outer(rng.standard_normal(len(plane)), [0, 0, 1])
+        tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+        sset = StateSet(make_states(tilted @ helpers.random_rotation(rng).T))
+        cert = decide(sset)
+        if cert.verdict is Verdict.YES:
+            assert verify_antidistinguishing(sset, cert.povm)
+        bloch = bloch_vectors(sset)
+        mean = bloch.mean(axis=0)
+        coeffs = np.linalg.lstsq((bloch - mean).T, -mean, rcond=None)[0]
+        residual = np.linalg.norm((bloch - mean).T @ coeffs + mean)
+        assert np.isinf(qubit_decide(sset).margin) == (np.sqrt(2) * residual > RESIDUAL_TOL)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-6])
+@pytest.mark.parametrize("height", [3e-9, 5e-8])
+def test_trine_lifted_off_the_origin_is_decided_at_every_tolerance(height, tol):
+    # three Bloch vectors span a plane at distance `height` from the origin; the
+    # best weights miss sum_j t_j P_j = I by sqrt(2) * height, so the set is YES
+    # (with a measurement that verifies) exactly when that is within RESIDUAL_TOL
+    angles = np.array([0, 2, 4]) * np.pi / 3
+    lifted = np.column_stack([np.sqrt(1 - height**2) * np.cos(angles),
+                              np.sqrt(1 - height**2) * np.sin(angles), np.full(3, height)])
+    sset = StateSet(make_states(lifted))
+    cert = decide(sset, tol)
+    assert (cert.verdict is Verdict.YES) == (np.sqrt(2) * height <= RESIDUAL_TOL)
+    if cert.verdict is Verdict.YES:
+        assert verify_antidistinguishing(sset, cert.povm, tol)
