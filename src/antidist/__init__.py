@@ -18,6 +18,7 @@ from .conditions import (  # noqa: F401
     check_sum_condition,
     fidelity_bound_check,
     gram_overlaps,
+    hermitian_povm,
     is_distinguishable,
     solve_weights,
     swap_povm,

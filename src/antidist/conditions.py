@@ -4,7 +4,8 @@ Covers pairwise-orthogonality (distinguishability), verification of an
 excluding measurement, the weighted sum-equals-projection certificate and
 the one measurement its weights determine (every weighted YES verdict, from
 the qubit Bloch test, a rank-2 span, a group orbit or a completion, is an
-instance of it), the pairwise-fidelity necessary bound (for pure states the
+instance of it), the one-Hermitian measurement with free effect shapes and
+no weights, the pairwise-fidelity necessary bound (for pure states the
 fidelity is the overlap tr(P_j P_k)), and the two set constructions (disjoint
 union, and adding at most n pure states to make n states excludable).  Every
 function works on the arrays of a ``StateSet`` and the effect stack of a
@@ -111,6 +112,48 @@ def build_povm(states: StateSet, weights, r_proj: np.ndarray, tol: float = linal
     scales = (np.asarray(weights, dtype=float) / (rank - 1))[:, None, None]
     comp = np.eye(states.dim) - r_proj
     return Povm(scales * (r_proj - states.projectors) + comp / states.n, tol)
+
+
+def hermitian_povm(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Povm | None:
+    """The measurement M_j = Pi_j H Pi_j, with Pi_j = I - P_j, of the one Hermitian H
+    that solves sum_j Pi_j H Pi_j = I, or None.
+
+    Each M_j annihilates its own state by construction; the shapes are free and
+    there are no weights, unlike ``build_povm``.  Off the span R of the states
+    every Pi_j is the identity, so H is (I - R)/n there and 0 between R and its
+    complement.  On R, with the states' coordinates c_j in an orthonormal basis
+    V of R, Q_j = c_j c_j^dagger and S = sum_j Q_j, row-major vec turns the map
+    into the r^2 x r^2 matrix L = n I - S kron I - I kron S^T + sum_j vec(Q_j) vec(Q_j)^dagger,
+    whose last term is one product of the (n, r^2) stack of flattened Q_j, and
+    whose other terms are diagonal, since V is the states' left singular basis.
+    Solving on R, not in d^2 unknowns, keeps a few states in a large space cheap.
+
+    None when L is singular, or when the effects fail the ``Povm`` checks or
+    ``verify_antidistinguishing``: the same acceptance as the chart solve's primal.
+    """
+    n, d = states.n, states.dim
+    span, _ = linalg.span_bases(states.vectors, tol)
+    r = span.shape[1]
+    flat = projectors_of(states.vectors @ span.conj()).reshape(n, r * r)
+    # the span basis holds left singular vectors, so S is diagonal there, and so are
+    # n I - S kron I - I kron S^T, with entry n - s_a - s_b at ((a, b), (a, b))
+    s = flat.sum(axis=0).reshape(r, r).diagonal().real
+    lmap = flat.T @ flat.conj()
+    lmap[np.diag_indices(r * r)] += (n - s[:, None] - s[None, :]).reshape(-1)
+    try:
+        h = np.linalg.solve(lmap, np.eye(r).reshape(-1)).reshape(r, r)
+    except np.linalg.LinAlgError:
+        return None
+    h = span @ h @ linalg.adjoint(span) + (np.eye(d) - span @ linalg.adjoint(span)) / n
+    comp = np.eye(d) - states.projectors
+    effects = comp @ h @ comp
+    try:
+        # the Hermitian parts, Pi_j ((H + H^dagger)/2) Pi_j: exactly symmetric, with real
+        # diagonals that the certificate writes as 0
+        povm = Povm((effects + np.conj(np.swapaxes(effects, 1, 2))) / 2.0, tol)
+    except ValueError:  # NotPsd, NotNormalized, or non-finite entries of a near-singular solve
+        return None
+    return povm if verify_antidistinguishing(states, povm, tol) else None
 
 
 def fidelity_bound_check(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> FidelityBound:

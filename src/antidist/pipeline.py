@@ -10,9 +10,13 @@ Order of attack for a pure state set:
 4. Gram weights plus the sum-equals-projection test (yes with the
    measurement ``conditions.build_povm`` makes of the weights; every
    weighted yes, the qubit ones of step 2 included, uses it),
-5. the chart solve: yes with its verified measurement, or no with a
+5. one Hermitian H with sum_j Pi_j H Pi_j = I, Pi_j = I - P_j, from one
+   r^2 x r^2 linear solve on the span of rank r (``conditions.hermitian_povm``):
+   yes when the effects Pi_j H Pi_j form a measurement that verifies; a
+   singular system or a failed check passes the set on,
+6. the chart solve: yes with its verified measurement, or no with a
    Hermitian witness that passes the witness inequality,
-6. otherwise unknown, noting the best primal residual and the dual's eps.
+7. otherwise unknown, noting the best primal residual and the dual's eps.
 """
 
 from __future__ import annotations
@@ -69,6 +73,15 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
     span, _ = linalg.span_bases(states.vectors, tol)
     if span.shape[1] == 2:
         return _qubit_certificate(states, span, tol)
+
+    povm = conditions.hermitian_povm(states, tol)
+    if povm is not None:
+        return Certificate(
+            Verdict.YES,
+            Method.ONE_HERMITIAN,
+            povm=povm,
+            notes="one Hermitian H solves sum_j Pi_j H Pi_j = I; its compressions verify",
+        )
 
     solved = chart_mod.solve_chart(states, tol)
     if solved.povm is not None:

@@ -54,11 +54,11 @@ class Method(str, Enum):
     PAIRWISE_ORTHOGONAL = "PairwiseOrthogonal"
     SUM_PROJECTION = "SumProjection"
     QUBIT_BLOCH = "QubitBloch"
+    ONE_HERMITIAN = "OneHermitian"
     CHART = "Chart"
     CHART_WITNESS = "ChartWitness"
     GROUP_ORBIT = "GroupOrbit"
     FIDELITY_VIOLATION = "FidelityViolation"
-    UNION = "Union"
     TWO_N = "TwoNConstruction"
 
 

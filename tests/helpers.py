@@ -8,6 +8,9 @@ The two hand-checked triples in dimension 3:
 * ``chart_triple`` has Gram weights (63/73, 50/73, 65/73) whose weighted
   sum is not a projection; the set is still antidistinguishable via the
   frozen completion chart.
+
+``chart_route_triple`` is a fixed triple near the Caves-Fuchs-Schack boundary
+that no stage before the chart solve decides.
 """
 
 from __future__ import annotations
@@ -77,6 +80,34 @@ def chart_triple_completions() -> np.ndarray:
 CHART_TRIPLE_ALPHAS = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def boundary_triple(x1: float, x2: float, shift: float, rng: np.random.Generator | None = None):
+    """Triple in C^3 with squared overlaps (x1, x2, x3), where x3 is the smaller root
+    of the Caves-Fuchs-Schack boundary (x1 + x2 + x3 - 1)^2 = 4 x1 x2 x3 scaled by
+    1 + shift: antidistinguishable for shift < 0, not for shift > 0.  The rows are
+    the eigen-factor of the real Gram matrix with entries sqrt(x); with ``rng``
+    each row gets a random phase and all rows one Haar unitary.  None when that
+    Gram matrix has an eigenvalue <= 1e-6."""
+    s0, p = x1 + x2, x1 * x2
+    b = 2.0 * (s0 - 1.0) - 4.0 * p
+    disc = b * b - 4.0 * (s0 - 1.0) ** 2
+    if disc < 0:
+        return None
+    x3 = (-b - np.sqrt(disc)) / 2.0 * (1.0 + shift)
+    lam, vec = np.linalg.eigh(np.sqrt(np.array([[1, x1, x2], [x1, 1, x3], [x2, x3, 1]])))
+    if lam.min() <= 1e-6:
+        return None
+    rows = vec * np.sqrt(lam)
+    if rng is not None:
+        rows = (rows * np.exp(2j * np.pi * rng.random(3))[:, None]) @ haar_unitary(3, rng).T
+    return StateSet(rows)
+
+
+def chart_route_triple() -> StateSet:
+    """CFS-yes triple (margin about 1.9e-3) whose one-Hermitian system has a unique
+    solution that is not positive on the complements: the chart solve decides it."""
+    return boundary_triple(0.2, 0.3, -1e-2)
+
+
 TETRA_BLOCH = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
 ) / np.sqrt(3.0)
@@ -144,6 +175,13 @@ def random_vector(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pure(d: int, rng: np.random.Generator) -> PureState:
     return PureState(random_vector(d, rng))
+
+
+def clustered(d: int, spread: float, rng: np.random.Generator, n: int | None = None) -> StateSet:
+    """n states (d by default) about e_1: a spread of 0.6 is often not
+    antidistinguishable, 1.0 often is."""
+    rows = np.eye(d)[0] + spread * np.array([random_vector(d, rng) for _ in range(n or d)])
+    return StateSet([r / np.linalg.norm(r) for r in rows])
 
 
 def random_qubit_set(n: int, rng: np.random.Generator) -> StateSet:

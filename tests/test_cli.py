@@ -28,8 +28,8 @@ def triple_file(tmp_path):
 
 
 @pytest.fixture
-def chart_triple_file(tmp_path):
-    return write_json(tmp_path / "chart_triple.json", state_doc(helpers.chart_triple()))
+def chart_route_file(tmp_path):
+    return write_json(tmp_path / "chart_route.json", state_doc(helpers.chart_route_triple()))
 
 
 def run(capsys, *args):
@@ -58,28 +58,28 @@ def test_check_qubit_refutation(tmp_path, capsys):
     assert json.loads(out)["method"] == "QubitBloch"
 
 
-def test_check_with_seeded_chart(chart_triple_file, tmp_path, capsys):
-    # check takes no seed chart; the chart solve decides the chart triple alone
+def test_check_with_seeded_chart(chart_route_file, tmp_path, capsys):
+    # check takes no seed chart; the chart solve decides the chart-route triple alone
     seed_path = write_json(tmp_path / "seed.json", {"completions": []})
-    assert cli.main(["check", chart_triple_file, "--seed-chart", seed_path]) == 2
+    assert cli.main(["check", chart_route_file, "--seed-chart", seed_path]) == 2
     capsys.readouterr()
-    code, out, _ = run(capsys, "check", chart_triple_file)
+    code, out, _ = run(capsys, "check", chart_route_file)
     assert code == 0
     assert json.loads(out)["method"] == "Chart"
 
 
 @pytest.mark.parametrize("option", ["--budget", "--seed"])
-def test_check_search_options_removed(chart_triple_file, capsys, option):
-    assert cli.main(["check", chart_triple_file, option, "5"]) == 2
+def test_check_search_options_removed(chart_route_file, capsys, option):
+    assert cli.main(["check", chart_route_file, option, "5"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_check_unknown_without_seed(chart_triple_file, capsys, monkeypatch):
+def test_check_unknown_without_seed(chart_route_file, capsys, monkeypatch):
     # exit 3 remains for sets that neither side of the chart solve settles;
-    # with one iteration per side the chart triple is such a set
+    # with one iteration per side the chart-route triple is such a set
     monkeypatch.setattr(cli.pipeline.chart_mod, "PRIMAL_MAX_ITER", 1)
     monkeypatch.setattr(cli.pipeline.chart_mod, "DUAL_MAX_ITER", 1)
-    code, out, _ = run(capsys, "check", chart_triple_file)
+    code, out, _ = run(capsys, "check", chart_route_file)
     assert code == 3
     doc = json.loads(out)
     assert doc["verdict"] == "Unknown"
@@ -193,6 +193,23 @@ def test_cli_import_leaves_the_solvers_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_one_hermitian_check_leaves_the_chart_solver_unloaded(tmp_path):
+    # a random set with n = 2d is decided before the chart solve, which alone imports scipy.optimize
+    rng = np.random.default_rng(6)
+    states = write_json(tmp_path / "d6.json",
+                        state_doc(StateSet([helpers.random_vector(6, rng) for _ in range(12)])))
+    cert = tmp_path / "cert.json"
+    probe = ("import sys; from antidist import cli; "
+             f"code = cli.main(['check', {states!r}, '-o', {str(cert)!r}]); "
+             "print(code, 'scipy.optimize' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0", "False"]
+    assert json.loads(cert.read_text())["method"] == "OneHermitian"
 
 
 def test_verify_rejects_identity_split(triple_file, tmp_path, capsys):
@@ -386,10 +403,10 @@ def test_bloch_wrong_dimension(triple_file, capsys):
     assert code == 2
 
 
-def test_deterministic_output_under_seed(chart_triple_file, tmp_path, capsys):
+def test_deterministic_output_under_seed(chart_route_file, tmp_path, capsys):
     # the chart solve is deterministic, for YES and NO alike
     no_file = write_json(tmp_path / "no.json", state_doc(cfs_no_triple()))
-    for states in (chart_triple_file, no_file):
+    for states in (chart_route_file, no_file):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         run(capsys, "check", states, "-o", str(a))

@@ -14,6 +14,7 @@ from antidist import (
     verify_chart,
     verify_witness,
 )
+from antidist.conditions import hermitian_povm
 from antidist.states import Method, Verdict
 
 import helpers
@@ -67,8 +68,10 @@ def test_sum_projection_route():
 
 
 def test_chart_route_with_seed_and_unknown_without(monkeypatch):
-    # the paper's chart triple fails the sum condition; the chart solve decides it
-    triple = helpers.chart_triple()
+    # a yes triple near the CFS boundary: it fails the sum condition and the
+    # one-Hermitian stage, and the chart solve decides it
+    triple = helpers.chart_route_triple()
+    assert hermitian_povm(triple) is None
     cert = decide(triple)
     assert cert.verdict is Verdict.YES and cert.method is Method.CHART
     assert verify_antidistinguishing(triple, cert.povm)
@@ -128,14 +131,17 @@ def test_singular_gram_routes_to_search_not_crash():
     assert verify_antidistinguishing(sset, cert.povm)
 
     # ten states in C^3 outnumber the nine Hermitian dimensions, so the weight
-    # system is singular too, but their span has rank 3: the chart solve decides
+    # system is singular too, but their span has rank 3: the one-Hermitian
+    # stage decides the random set, and the chart solve the clustered one it declines
     rng = np.random.default_rng(5)
-    sset = StateSet([helpers.random_pure(3, rng) for _ in range(10)])
-    with pytest.raises(SingularSystem):
-        solve_weights(sset)
-    cert = decide(sset)
-    assert cert.verdict is Verdict.YES and cert.method is Method.CHART
-    assert verify_antidistinguishing(sset, cert.povm)
+    random_set = StateSet([helpers.random_pure(3, rng) for _ in range(10)])
+    clustered = helpers.clustered(3, 1.0, np.random.default_rng(4), n=10)
+    for sset, method in ((random_set, Method.ONE_HERMITIAN), (clustered, Method.CHART)):
+        with pytest.raises(SingularSystem):
+            solve_weights(sset)
+        cert = decide(sset)
+        assert cert.verdict is Verdict.YES and cert.method is method
+        assert verify_antidistinguishing(sset, cert.povm)
 
 
 def _hull_boundary_bloch(rng) -> np.ndarray:

@@ -97,15 +97,6 @@ def write_states(path, sset: StateSet) -> str:
     return str(path)
 
 
-def unit(v):
-    return v / np.linalg.norm(v)
-
-
-def clustered(d: int, spread: float, rng) -> StateSet:
-    """d states about e_1: a spread of 0.6 is often not antidistinguishable, 1.0 often is."""
-    return StateSet([unit(np.eye(d)[0] + spread * helpers.random_vector(d, rng)) for _ in range(d)])
-
-
 def assert_rewritten_byte_for_byte(path) -> None:
     """Parse a certificate or state-set file and write it again: the same bytes."""
     text = path.read_text()
@@ -125,9 +116,9 @@ def assert_povm_verifies(states_path, cert_path) -> None:
 
 def test_check_certificates_are_rewritten_byte_for_byte(tmp_path):
     rng = np.random.default_rng(11)
-    cases = [clustered(d, spread, rng) for d in range(3, 9) for spread in (0.6, 1.0)]
+    cases = [helpers.clustered(d, spread, rng) for d in range(3, 9) for spread in (0.6, 1.0)]
     cases += [helpers.random_qubit_set(n, rng) for n in (2, 3, 5)]
-    cases += [helpers.trine(), helpers.sum_condition_triple()]
+    cases += [helpers.trine(), helpers.sum_condition_triple(), helpers.chart_route_triple()]
     methods = set()
     for k, sset in enumerate(cases):
         states = write_states(tmp_path / f"in-{k}.json", sset)
@@ -138,7 +129,7 @@ def test_check_certificates_are_rewritten_byte_for_byte(tmp_path):
         assert_rewritten_byte_for_byte(cert)
         if code == 0:
             assert_povm_verifies(states, cert)
-    assert {"Chart", "ChartWitness", "QubitBloch", "SumProjection"} <= methods
+    assert {"Chart", "ChartWitness", "OneHermitian", "QubitBloch", "SumProjection"} <= methods
 
 
 def test_orbit_and_complete_files_are_rewritten_byte_for_byte(tmp_path):
@@ -161,7 +152,7 @@ def test_orbit_and_complete_files_are_rewritten_byte_for_byte(tmp_path):
 
 def test_each_matrix_row_is_one_line(tmp_path):
     rng = np.random.default_rng(3)
-    states = write_states(tmp_path / "in.json", clustered(8, 1.0, rng))
+    states = write_states(tmp_path / "in.json", helpers.clustered(8, 1.0, rng))
     code, out = run("check", states)
     assert code == 0
     doc = json.loads(out)
