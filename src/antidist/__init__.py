@@ -7,7 +7,6 @@ from .states import (  # noqa: F401
     Certificate,
     Method,
     Povm,
-    PureState,
     StateSet,
     Verdict,
 )
@@ -28,7 +27,6 @@ from .conditions import (  # noqa: F401
 )
 from .qubit import (  # noqa: F401
     QubitVerdict,
-    bloch_from_state,
     bloch_vectors,
     qubit_complete,
     qubit_decide,

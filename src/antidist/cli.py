@@ -3,7 +3,8 @@
 Subcommands: check (run the certificate pipeline), verify (test a POVM
 against a state set), complete (qubit one-state completion), orbit
 (group-orbit generation with its covariant certificate), bloch (export
-Bloch coordinates as a text table).
+Bloch coordinates as a text table).  Every state, the added one and an
+orbit's base included, is read and built as a ``StateSet``.
 
 Exit codes: 0 antidistinguishable, 1 certified not, 2 input or internal
 error, 3 unknown.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import conditions, group, io, linalg, pipeline, qubit
 from .errors import AntidistError, FileFormatError
-from .states import Certificate, Method, PureState, StateSet, Verdict
+from .states import Certificate, Method, StateSet, Verdict
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -71,8 +73,7 @@ def cmd_complete(args) -> int:
         Method.QUBIT_BLOCH,
         weights=verdict.weights,
         povm=conditions.build_povm(enlarged, verdict.weights, np.eye(2), args.tolerance),
-        added_state=added.vector if added is not None else None,
-        added_bloch=verdict.added_state,
+        added_state=added.vectors[0] if added is not None else None,
         notes=notes,
     )
     _emit(io.certificate_to_doc(cert), args.output)
@@ -81,7 +82,7 @@ def cmd_complete(args) -> int:
     return EXIT_YES
 
 
-def _builtin_rep(name: str) -> tuple[group.GroupRep, PureState]:
+def _builtin_rep(name: str) -> tuple[group.GroupRep, StateSet]:
     if name == "quaternion":
         return group.builtin_quaternion(), group.tetrahedral_state()
     if name.startswith("s") and name.endswith("-standard"):
@@ -90,22 +91,22 @@ def _builtin_rep(name: str) -> tuple[group.GroupRep, PureState]:
         except ValueError:
             raise FileFormatError(f"unknown builtin representation {name!r}") from None
         rep = group.builtin_symmetric_permutation(n)
-        return rep, PureState(group.standard_subspace_vectors(n)[0])
+        return rep, StateSet(group.standard_subspace_vectors(n)[:1])
     raise FileFormatError(f"unknown builtin representation {name!r}")
 
 
-def _named_base(name: str, dim: int) -> PureState:
+def _named_base(name: str, dim: int) -> StateSet:
     if name == "tetrahedral":
         return group.tetrahedral_state()
     if name == "psi1":
-        return PureState(group.standard_subspace_vectors(dim)[0])
+        return StateSet(group.standard_subspace_vectors(dim)[:1])
     try:
         entries = json.loads(name)
     except json.JSONDecodeError:
         entries = None
     if not isinstance(entries, list):  # json reads '-Infinity' and '5' as numbers
         raise FileFormatError(f"unknown base state {name!r}")
-    return PureState(io.wire_to_vector(entries))
+    return StateSet([io.wire_to_vector(entries)])
 
 
 def cmd_orbit(args) -> int:
@@ -156,8 +157,8 @@ def cmd_bloch(args) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("tolerance must be finite and positive")
     return value
 
 

@@ -131,8 +131,17 @@ def hermitian_povm(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Povm | 
     None when L is singular, or when the effects fail the ``Povm`` checks or
     ``verify_antidistinguishing``: the same acceptance as the chart solve's primal.
     """
+    return _hermitian_povm(states, linalg.span_bases(states.vectors, tol)[0], tol)
+
+
+def _hermitian_povm(states: StateSet, span: np.ndarray, tol: float) -> Povm | None:
+    """``hermitian_povm`` on the span basis ``span`` that the caller already holds.
+
+    ``span`` must be the states' left singular basis: the (d, r) columns that
+    ``linalg.span_bases(states.vectors, tol)`` returns, in which S is diagonal.
+    Any other orthonormal basis of the span gives a wrong map L.
+    """
     n, d = states.n, states.dim
-    span, _ = linalg.span_bases(states.vectors, tol)
     r = span.shape[1]
     flat = projectors_of(states.vectors @ span.conj()).reshape(n, r * r)
     # the span basis holds left singular vectors, so S is diagonal there, and so are
@@ -184,30 +193,22 @@ def union_povm(
     return joined, Povm(np.concatenate([ma.effects, mb.effects]) / 2.0, tol)
 
 
-def two_n_construction(
-    states: StateSet, balanced: bool = True, tol: float = linalg.DEFAULT_TOL
-) -> tuple[StateSet, Povm]:
+def two_n_construction(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> tuple[StateSet, Povm]:
     """Make n pure states excludable by adding at most n pure states.
 
     Each state psi_j is paired with phi_j, the first column of the SVD
     complement of psi_j, which is orthogonal to it; the pair is excluded by
     {1 - P_j, P_j}.  For d = 2 phi_j is the unique orthogonal state.  Pairs
-    are joined either with uniform 1/n effect scaling (default, well
-    conditioned) or with the chained halving scales 2^-(n-1), 2^-(n-1),
-    2^-(n-2), ..., 1/2.  States that coincide across pairs are merged and
-    their effects summed.
+    are joined with uniform 1/n effect scaling.  States that coincide across
+    pairs are merged and their effects summed.
     """
     d, n = states.dim, states.n
     if d < 2:
         raise DimensionOne("the doubling construction needs dimension >= 2")
-    if balanced:
-        scales = np.full(n, 1.0 / n)
-    else:
-        scales = np.array([2.0 ** -(n - 1)] + [2.0 ** -(n - i) for i in range(1, n)])
     phi = linalg.complements(states.vectors)[:, :, 0]
     # rows psi_0, phi_0, psi_1, phi_1, ...
     members = np.stack([states.vectors, phi], axis=1).reshape(2 * n, d)
-    p, s = states.projectors, scales[:, None, None]
+    p, s = states.projectors, 1.0 / n
     effects = np.stack([s * (np.eye(d) - p), s * p], axis=1).reshape(2 * n, d, d)
     ops = projectors_of(members)
     first = first_match(ops, ops)

@@ -4,7 +4,8 @@ An orbit of a pure state under a representation that acts irreducibly on
 the orbit span sums to a scalar multiple of the span projector.  That
 scalar certifies uniform weights 1/c, and ``conditions.build_povm`` on them
 gives a covariant measurement.  The span-projector formulation also covers
-reducible representations restricted to an invariant subspace.
+reducible representations restricted to an invariant subspace.  A base state
+is a one-row ``StateSet``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from itertools import permutations
 import numpy as np
 
 from . import linalg, qubit
-from .errors import FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
-from .states import PureState, StateSet, first_match, projectors_of, unit_rows
+from .errors import CountMismatch, FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
+from .states import StateSet, first_match, projectors_of, unit_rows
 
 
 class GroupRep:
@@ -67,18 +68,20 @@ class GroupRep:
 
 @dataclass
 class Orbit:
-    """Distinct images of a base state under a representation."""
+    """Distinct images of a base state, a one-row set, under a representation."""
 
-    base: PureState
+    base: StateSet
     members: StateSet
     stabilizer_order: int
 
 
-def orbit(rep: GroupRep, base: PureState) -> Orbit:
-    """Orbit of a pure state, deduplicated as projectors."""
+def orbit(rep: GroupRep, base: StateSet) -> Orbit:
+    """Orbit of the one state of ``base``, deduplicated as projectors."""
+    if base.n != 1:
+        raise CountMismatch(f"an orbit has one base state, got {base.n}")
     if base.dim != rep.dim:
         raise WrongDimension("base state and representation dimensions differ")
-    images = np.stack(rep.elements) @ base.vector
+    images = np.stack(rep.elements) @ base.vectors[0]
     ops = projectors_of(unit_rows(images))
     first = first_match(ops, ops)
     keep = np.flatnonzero(first == np.arange(len(ops)))
@@ -144,6 +147,6 @@ def standard_subspace_vectors(n: int) -> list[np.ndarray]:
     return list(linalg.orthonormal_columns(diffs).T)
 
 
-def tetrahedral_state() -> PureState:
-    """Qubit state with Bloch vector (1, 1, 1)/sqrt(3)."""
+def tetrahedral_state() -> StateSet:
+    """The one-row set of the qubit state with Bloch vector (1, 1, 1)/sqrt(3)."""
     return qubit.state_from_bloch(np.ones(3) / np.sqrt(3.0))

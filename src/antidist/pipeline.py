@@ -74,7 +74,7 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
     if span.shape[1] == 2:
         return _qubit_certificate(states, span, tol)
 
-    povm = conditions.hermitian_povm(states, tol)
+    povm = conditions._hermitian_povm(states, span, tol)
     if povm is not None:
         return Certificate(
             Verdict.YES,

@@ -16,7 +16,9 @@ span and one qhull call the facets.  s* is -inf when the origin lies so far
 from the affine hull of the r_j that no weights meet sum_j t_j P_j = I within
 ``linalg.RESIDUAL_TOL``, the threshold of every operator identity.  The
 optimal t is projected onto the equalities by one least-squares step before
-it is rescaled to sum 2 and used as a certificate.
+it is rescaled to sum 2 and used as a certificate.  A single state, such as
+the one ``state_from_bloch`` makes and ``qubit_complete`` adds, is a one-row
+``StateSet``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import WrongDimension
-from .states import PureState, StateSet, first_match
+from .states import StateSet, first_match
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,7 +44,6 @@ class QubitVerdict:
 
     feasible: bool
     weights: np.ndarray | None = None
-    added_state: np.ndarray | None = None
     margin: float | None = None
 
 
@@ -51,15 +52,8 @@ def _bloch(vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ni,kij,nj->nk", vectors.conj(), _PAULI, vectors).real
 
 
-def bloch_from_state(state: PureState) -> np.ndarray:
-    """Bloch vector r with components tr(P sigma_k); unit length for pure states."""
-    if state.dim != 2:
-        raise WrongDimension("Bloch vectors exist for dimension 2 only")
-    return _bloch(state.vector[np.newaxis])[0]
-
-
-def state_from_bloch(r) -> PureState:
-    """Pure state with the given unit Bloch vector."""
+def state_from_bloch(r) -> StateSet:
+    """The one-row set of the pure state with the given unit Bloch vector."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("a Bloch vector has three components")
@@ -69,11 +63,12 @@ def state_from_bloch(r) -> PureState:
     x, y, z = r / nrm
     theta = np.arccos(np.clip(z, -1.0, 1.0))
     phi = np.arctan2(y, x)
-    return PureState([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    return StateSet([[np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]])
 
 
 def bloch_vectors(states: StateSet) -> np.ndarray:
-    """n x 3 array of Bloch vectors for a pure qubit set."""
+    """n x 3 array of Bloch vectors r_j, with components tr(P_j sigma_k), for a
+    pure qubit set; ``bloch_vectors(s)[0]`` is the one of a single state."""
     if states.dim != 2:
         raise WrongDimension("Bloch vectors exist for dimension 2 only")
     return _bloch(states.vectors)
@@ -138,12 +133,13 @@ def qubit_decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> QubitVerd
 def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
     """Make a pure qubit set antidistinguishable by adding at most one state.
 
-    Returns (added, verdict).  If the set is already feasible, added is
-    None and the verdict is the set's own.  Otherwise the summed Bloch
-    vector r is nonzero and the state with Bloch vector -r/|r| completes
-    the set; the returned verdict certifies the enlarged set with weights
-    (1/|r|, ..., 1/|r|, 1) rescaled to sum 2.  ValueError when the tolerance
-    is at or above s* of a set whose Bloch vectors positive weights cancel.
+    Returns (added, verdict), with added a one-row set.  If the set is
+    already feasible, added is None and the verdict is the set's own.
+    Otherwise the summed Bloch vector r is nonzero and the state with Bloch
+    vector -r/|r| completes the set; the returned verdict certifies the
+    enlarged set with weights (1/|r|, ..., 1/|r|, 1) rescaled to sum 2.
+    ValueError when the tolerance is at or above s* of a set whose Bloch
+    vectors positive weights cancel.
     """
     verdict = qubit_decide(states, tol)
     if verdict.feasible:
@@ -151,7 +147,7 @@ def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
     total = bloch_vectors(states).sum(axis=0)
     nrm = float(np.linalg.norm(total))
     added = state_from_bloch(-total / nrm) if nrm > tol else None
-    if added is None or first_match(states.projectors, added.projector[None])[0] >= 0:
+    if added is None or first_match(states.projectors, added.projectors)[0] >= 0:
         # a zero Bloch sum, or a completion that is a member, means positive weights cancel
         raise ValueError(
             f"no completion at tolerance {tol:g}: the LP margin s* = {verdict.margin:.3g} "
@@ -160,4 +156,4 @@ def qubit_complete(states: StateSet, tol: float = linalg.DEFAULT_TOL):
     weights = np.full(states.n + 1, 1.0 / nrm)
     weights[-1] = 1.0
     weights *= 2.0 / weights.sum()
-    return added, QubitVerdict(True, weights=weights, added_state=-total / nrm)
+    return added, QubitVerdict(True, weights=weights)

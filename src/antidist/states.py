@@ -1,8 +1,9 @@
-"""Value types: pure states, POVMs, state sets, certificates.
+"""Value types: state sets, POVMs, certificates.
 
-Every state is pure.  A ``StateSet`` is one (n, d) array of unit rows with the
-(n, d, d) stack of their projectors, and a ``Povm`` one (k, d, d) stack of
-effects; ``unit_rows`` validates and normalizes every state vector that
+Every state is pure, and there is one state type.  A ``StateSet`` is one
+(n, d) array of unit rows with the (n, d, d) stack of their projectors, and a
+single state is a set with one row; a ``Povm`` is one (k, d, d) stack of
+effects.  ``unit_rows`` validates and normalizes every state vector that
 enters.  Global phase is quotiented out by working with projectors.  Sameness has
 one test, ``first_match``: two states or group elements are the same when
 their operators lie within the fixed Frobenius distance ``DUPLICATE_TOL``,
@@ -94,21 +95,6 @@ def projectors_of(vectors: np.ndarray) -> np.ndarray:
     return vectors[:, :, None] * vectors.conj()[:, None, :]
 
 
-class PureState:
-    """A unit vector together with its cached rank-1 projector."""
-
-    __slots__ = ("dim", "vector", "projector")
-
-    def __init__(self, vector):
-        v = unit_rows(np.reshape(np.asarray(vector, dtype=complex), (1, -1)))[0]
-        self.dim = v.size
-        self.vector = v
-        self.projector = np.outer(v, v.conj())
-
-    def __repr__(self):
-        return f"PureState(dim={self.dim})"
-
-
 class Povm:
     """Positive effects summing to the identity: ``effects`` is their (k, d, d) stack."""
 
@@ -145,16 +131,16 @@ class Povm:
 class StateSet:
     """Pure states sharing a dimension, pairwise distinct up to global phase:
     ``vectors`` holds their unit rows, (n, d), and ``projectors`` the (n, d, d)
-    stack of |v><v|.
+    stack of |v><v|.  A single state is a set of one.
 
-    The constructor takes a sequence of vectors or ``PureState``s; ``unit_rows``
-    validates every row and divides it by its norm.
+    The constructor takes a sequence of vectors; ``unit_rows`` validates every
+    row and divides it by its norm.
     """
 
     __slots__ = ("vectors", "projectors")
 
-    def __init__(self, states):
-        rows = [s.vector if isinstance(s, PureState) else s for s in states]
+    def __init__(self, rows):
+        rows = list(rows)
         if not rows:
             raise ValueError("a state set needs at least one state")
         try:
@@ -164,12 +150,12 @@ class StateSet:
         self._take(unit_rows(rows))
 
     @classmethod
-    def join(cls, *parts: StateSet | PureState) -> StateSet:
-        """The members of the sets and states ``parts``, in order, as one set.
-        Their vectors are unit already and are kept bit for bit, since a second
+    def join(cls, *parts: StateSet) -> StateSet:
+        """The members of the sets ``parts``, in order, as one set.  Their
+        vectors are unit already and are kept bit for bit, since a second
         division by the norm can move the last bits."""
         joined = cls.__new__(cls)
-        joined._take(np.vstack([p.vectors if isinstance(p, StateSet) else p.vector for p in parts]))
+        joined._take(np.vstack([p.vectors for p in parts]))
         return joined
 
     def _take(self, vectors: np.ndarray) -> None:
@@ -206,6 +192,5 @@ class Certificate:
     projector_r: np.ndarray | None = None
     povm: Povm | None = None
     added_state: np.ndarray | None = None
-    added_bloch: np.ndarray | None = None
     witness: np.ndarray | None = None
     notes: str = ""

@@ -22,7 +22,6 @@ import numpy as np
 
 from antidist import (
     GroupRep,
-    PureState,
     StateSet,
     builtin_quaternion,
     builtin_symmetric_permutation,
@@ -38,13 +37,7 @@ S5 = np.sqrt(5.0)
 
 
 def sum_condition_triple() -> StateSet:
-    return StateSet(
-        [
-            PureState([1, 0, 0]),
-            PureState(np.array([1, 2, 0]) / S5),
-            PureState(np.array([1, -2, 0]) / S5),
-        ]
-    )
+    return StateSet([[1, 0, 0], np.array([1, 2, 0]) / S5, np.array([1, -2, 0]) / S5])
 
 
 #: frozen excluding measurement for sum_condition_triple
@@ -58,13 +51,7 @@ SUM_TRIPLE_WEIGHTS = np.array([3 / 4, 5 / 8, 5 / 8])
 
 
 def chart_triple() -> StateSet:
-    return StateSet(
-        [
-            PureState([1, 0, 0]),
-            PureState(np.array([1, 2, 0]) / S5),
-            PureState(np.array([0, 1, 2]) / S5),
-        ]
-    )
+    return StateSet([[1, 0, 0], np.array([1, 2, 0]) / S5, np.array([0, 1, 2]) / S5])
 
 
 def chart_triple_completions() -> np.ndarray:
@@ -120,18 +107,17 @@ ICOSA_BLOCH = np.array([np.roll((0, a, b * _PHI), k) for k in range(3)
                         for a in (1, -1) for b in (1, -1)]) / np.sqrt(1 + _PHI**2)
 
 
+def bloch_set(rows) -> StateSet:
+    """The pure qubit states with the unit Bloch vectors ``rows``, as one set."""
+    return StateSet.join(*[state_from_bloch(r) for r in rows])
+
+
 def tetrahedron() -> StateSet:
-    return StateSet([state_from_bloch(r) for r in TETRA_BLOCH])
+    return bloch_set(TETRA_BLOCH)
 
 
 def trine() -> StateSet:
-    return StateSet(
-        [
-            state_from_bloch((1, 0, 0)),
-            state_from_bloch((-0.5, np.sqrt(3) / 2, 0)),
-            state_from_bloch((-0.5, -np.sqrt(3) / 2, 0)),
-        ]
-    )
+    return bloch_set([(1, 0, 0), (-0.5, np.sqrt(3) / 2, 0), (-0.5, -np.sqrt(3) / 2, 0)])
 
 
 #: a real trine and its QubitBloch certificate, literally as written when
@@ -157,15 +143,41 @@ LEGACY_TRINE_CERTIFICATE = {
     "weights": [0.666666666667, 0.666666666667, 0.666666666667],
 }
 
+#: a qubit pair, its completion by one state and the completion certificate,
+#: literally as written when certificates also carried ``added_bloch``, the
+#: Bloch vector of ``added_state``
+LEGACY_COMPLETION_PAIR = {"dim": 2, "states": [[1, 0], [0.6, 0.8]]}
+LEGACY_COMPLETION_STATES = {
+    "dim": 2,
+    "labels": ["s0", "s1", "s2"],
+    "states": [
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.6, 0.0], [0.8, 0.0]],
+        [[0.4472135955, 0.0], [-0.894427191, -1.09535739653e-16]],
+    ],
+}
+LEGACY_COMPLETION_CERTIFICATE = {
+    "added_bloch": [-0.8, -0.0, -0.6],
+    "added_state": [[0.4472135955, 0.0], [-0.894427191, -1.09535739653e-16]],
+    "method": "QubitBloch",
+    "notes": "added one state to make the set antidistinguishable",
+    "povm": {
+        "dim": 2,
+        "effects": [
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.625, 0.0]]],
+            [[[0.4, 0.0], [-0.3, 0.0]], [[-0.3, 0.0], [0.225, 0.0]]],
+            [[[0.6, 0.0], [0.3, -3.67394039744e-17]],
+             [[0.3, 3.67394039744e-17], [0.15, -1.32733036252e-34]]],
+        ],
+    },
+    "tool_version": "0.1.0",
+    "verdict": "AntidistYes",
+    "weights": [0.625, 0.625, 0.75],
+}
+
 
 def standard_orbit_triple() -> StateSet:
-    return StateSet(
-        [
-            PureState(np.array([1, -1, 0]) / np.sqrt(2)),
-            PureState(np.array([1, 0, -1]) / np.sqrt(2)),
-            PureState(np.array([0, 1, -1]) / np.sqrt(2)),
-        ]
-    )
+    return StateSet(np.array([[1, -1, 0], [1, 0, -1], [0, 1, -1]]) / np.sqrt(2))
 
 
 def random_vector(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,8 +185,9 @@ def random_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_pure(d: int, rng: np.random.Generator) -> PureState:
-    return PureState(random_vector(d, rng))
+def random_pure(d: int, rng: np.random.Generator) -> StateSet:
+    """One random pure state, as a one-row set."""
+    return StateSet([random_vector(d, rng)])
 
 
 def clustered(d: int, spread: float, rng: np.random.Generator, n: int | None = None) -> StateSet:
@@ -187,7 +200,7 @@ def clustered(d: int, spread: float, rng: np.random.Generator, n: int | None = N
 def random_qubit_set(n: int, rng: np.random.Generator) -> StateSet:
     while True:
         try:
-            return StateSet([random_pure(2, rng) for _ in range(n)])
+            return StateSet([random_vector(2, rng) for _ in range(n)])
         except Exception:
             continue
 
@@ -207,7 +220,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_orthonormal_subset(d: int, n: int, rng: np.random.Generator) -> StateSet:
     u = haar_unitary(d, rng)
-    return StateSet([PureState(u[:, k]) for k in range(n)])
+    return StateSet(u[:, :n].T)
 
 
 @lru_cache(maxsize=None)
@@ -248,12 +261,12 @@ def closed_by_products(elements) -> bool:
     )
 
 
-def random_zero_sum_base(n: int, rng: np.random.Generator) -> PureState:
-    """Random pure state inside the zero-coordinate-sum subspace of C^n."""
+def random_zero_sum_base(n: int, rng: np.random.Generator) -> StateSet:
+    """Random pure state inside the zero-coordinate-sum subspace of C^n, as a one-row set."""
     basis = standard_subspace_vectors(n)
     coeffs = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
     v = sum(c * b for c, b in zip(coeffs, basis))
-    return PureState(v / np.linalg.norm(v))
+    return StateSet([v / np.linalg.norm(v)])
 
 
 def random_certified_orbit(rng: np.random.Generator):
@@ -336,7 +349,7 @@ def hemisphere_qubit_set(n: int, rng: np.random.Generator) -> StateSet:
     rows = rng.standard_normal((n, 3))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     rows *= np.sign(rows @ axis)[:, None]
-    return StateSet([state_from_bloch(r) for r in rows])
+    return bloch_set(rows)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

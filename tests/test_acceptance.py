@@ -11,7 +11,6 @@ import numpy as np
 
 from antidist import (
     Chart,
-    PureState,
     StateSet,
     bloch_vectors,
     build_povm,
@@ -106,7 +105,7 @@ def test_criterion_3_quaternion_orbit():
 
 def test_criterion_4_symmetric_group_orbit():
     rep = helpers.cached_symmetric(3)
-    base = PureState(np.array([1, -1, 0]) / np.sqrt(2))
+    base = StateSet([np.array([1, -1, 0]) / np.sqrt(2)])
     orb = orbit(rep, base)
     assert orb.members.n == 3
 
@@ -156,9 +155,9 @@ def test_criterion_6_completion_soundness():
             continue
         added, verdict = qubit_complete(sset)
         assert added is not None and verdict.feasible
-        assert verdict.added_state is not None
+        assert added.n == 1
         for p in sset.projectors:
-            assert np.linalg.norm(added.projector - p) > 1e-7
+            assert np.linalg.norm(added.projectors[0] - p) > 1e-7
         enlarged = StateSet.join(sset, added)
         assert qubit_decide(enlarged).feasible
         assert verify_antidistinguishing(enlarged, build_povm(enlarged, verdict.weights, np.eye(2)))
@@ -188,9 +187,7 @@ def test_criterion_7_construction_soundness():
     for _ in range(100):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 5))
-        sset = StateSet(
-            [helpers.random_pure(d, rng) for _ in range(n)]
-        )
+        sset = StateSet([helpers.random_vector(d, rng) for _ in range(n)])
         enlarged, m = two_n_construction(sset)
         assert enlarged.n <= 2 * n
         assert verify_antidistinguishing(enlarged, m)
@@ -207,16 +204,14 @@ def test_criterion_8_fidelity_bound_on_certified_sets():
         # the unordered convention is half the ordered sum; it holds a fortiori
         assert bound.lhs / 2 <= bound.rhs + 1e-9
 
-    pair = StateSet([PureState([1, 0]), PureState(np.array([1, 1]) / np.sqrt(2))])
+    pair = StateSet([[1, 0], np.array([1, 1]) / np.sqrt(2)])
     cert = decide(pair)
     assert cert.verdict is Verdict.NO
     bound = fidelity_bound_check(pair)
     assert bound.rhs == 0 and bound.violated
 
     # in dimension >= 3 the refutation comes from the bound itself
-    triple_pair = StateSet(
-        [PureState([1, 0, 0]), PureState(np.array([1, 1, 0]) / np.sqrt(2))]
-    )
+    triple_pair = StateSet([[1, 0, 0], np.array([1, 1, 0]) / np.sqrt(2)])
     cert = decide(triple_pair)
     assert cert.verdict is Verdict.NO and cert.method is Method.FIDELITY_VIOLATION
     print(f"criterion 8: PASS (bound holds on {len(CERTIFIED)} certified sets; pair refuted)")

@@ -3,7 +3,6 @@ import pytest
 
 from antidist import (
     Chart,
-    PureState,
     StateSet,
     build_povm,
     chart_from_povm,
@@ -12,7 +11,6 @@ from antidist import (
     qubit_decide,
     solve_chart,
     solve_weights,
-    state_from_bloch,
     swap_povm,
     verify_antidistinguishing,
     verify_chart,
@@ -83,7 +81,7 @@ def test_chart_shape_mismatch():
 
 
 def test_search_finds_chart_for_orthonormal_basis():
-    basis = StateSet([PureState(np.eye(3)[k]) for k in range(3)])
+    basis = StateSet(np.eye(3))
     solved = solve_chart(basis)
     assert solved.povm is not None and solved.witness is None
     assert verify_antidistinguishing(basis, solved.povm)
@@ -98,11 +96,11 @@ def test_search_finds_chart_for_trine():
 
 def nonexcludable_pair() -> StateSet:
     """Two non-orthogonal states in d = 3: no excluding measurement exists."""
-    return StateSet([PureState([1, 0, 0]), PureState(np.array([1, 1, 0]) / np.sqrt(2))])
+    return StateSet([[1, 0, 0], np.array([1, 1, 0]) / np.sqrt(2)])
 
 
 def test_search_never_finds_for_nonexcludable_pair():
-    qubit_pair = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((1, 0, 0))])
+    qubit_pair = helpers.bloch_set([(0, 0, 1), (1, 0, 0)])
     assert solve_chart(qubit_pair).povm is None
     pair = nonexcludable_pair()
     solved = solve_chart(pair)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from antidist import cli, io
-from antidist import StateSet, fidelity_bound_check, verify_antidistinguishing, verify_witness
+from antidist import (StateSet, bloch_vectors, fidelity_bound_check, verify_antidistinguishing,
+                      verify_witness)
 
 import helpers
 
@@ -20,6 +21,11 @@ def write_json(path, doc):
 
 def state_doc(states, labels=None):
     return io.state_set_to_doc(states, labels)
+
+
+def bloch_of_added(cert: dict) -> np.ndarray:
+    """The Bloch vector of a completion certificate's added state."""
+    return bloch_vectors(StateSet([io.wire_to_vector(cert["added_state"])]))[0]
 
 
 @pytest.fixture
@@ -49,9 +55,7 @@ def test_check_sum_projection(triple_file, capsys):
 
 
 def test_check_qubit_refutation(tmp_path, capsys):
-    from antidist import StateSet, state_from_bloch
-
-    pair = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((1, 0, 0))])
+    pair = helpers.bloch_set([(0, 0, 1), (1, 0, 0)])
     path = write_json(tmp_path / "pair.json", state_doc(pair))
     code, out, _ = run(capsys, "check", path)
     assert code == 1
@@ -89,7 +93,7 @@ def test_check_unknown_without_seed(chart_route_file, capsys, monkeypatch):
 def cfs_no_triple():
     rng = np.random.default_rng(17)
     while True:
-        triple = StateSet([helpers.random_pure(3, rng) for _ in range(3)])
+        triple = StateSet([helpers.random_vector(3, rng) for _ in range(3)])
         if helpers.cfs_margin(triple) < -0.05 and not fidelity_bound_check(triple).violated:
             return triple
 
@@ -171,6 +175,24 @@ def test_verify_accepts_a_certificate_with_bloch_weights(tmp_path, capsys):
     assert code == 0 and "verified" in out
 
 
+def test_verify_accepts_a_completion_certificate_with_added_bloch(tmp_path, capsys):
+    states = write_json(tmp_path / "enlarged.json", helpers.LEGACY_COMPLETION_STATES)
+    cert = write_json(tmp_path / "cert.json", helpers.LEGACY_COMPLETION_CERTIFICATE)
+    code, out, _ = run(capsys, "verify", states, cert)
+    assert code == 0 and "verified" in out
+
+
+def test_complete_writes_the_legacy_files_less_added_bloch(tmp_path, capsys):
+    pair = write_json(tmp_path / "pair.json", helpers.LEGACY_COMPLETION_PAIR)
+    enlarged = tmp_path / "enlarged.json"
+    code, out, _ = run(capsys, "complete", pair, "--out-states", str(enlarged))
+    assert code == 0
+    legacy = dict(helpers.LEGACY_COMPLETION_CERTIFICATE)
+    del legacy["added_bloch"]
+    assert out == io.dumps_doc(legacy)
+    assert enlarged.read_text() == io.dumps_doc(helpers.LEGACY_COMPLETION_STATES)
+
+
 @pytest.mark.parametrize("change", [
     {"verdict": "Bogus", "method": "Nope", "witness": "x"},
     {"weights": [True, 1]},
@@ -235,7 +257,8 @@ def test_complete_adds_antipode(tmp_path, capsys):
     code, out, _ = run(capsys, "complete", path)
     assert code == 0
     cert = json.loads(out)
-    assert np.allclose(cert["added_bloch"], [0, 0, -1], atol=1e-9)
+    assert np.allclose(bloch_of_added(cert), [0, 0, -1], atol=1e-9)
+    assert "added_bloch" not in cert
     assert cert["verdict"] == "AntidistYes"
 
 
@@ -245,23 +268,21 @@ def test_complete_already_feasible(tmp_path, capsys):
     assert code == 0
     cert = json.loads(out)
     assert "already antidistinguishable" in cert["notes"]
-    assert "added_bloch" not in cert
+    assert "added_bloch" not in cert and "added_state" not in cert
 
 
 def test_complete_coplanar_fan(tmp_path, capsys):
-    from antidist import StateSet, state_from_bloch
-
-    fan = StateSet(
-        [state_from_bloch((np.cos(a), np.sin(a), 0)) for a in (0.2, 0.6, 1.0)]
-    )
+    fan = helpers.bloch_set([(np.cos(a), np.sin(a), 0) for a in (0.2, 0.6, 1.0)])
     path = write_json(tmp_path / "fan.json", state_doc(fan))
     out_states = tmp_path / "enlarged.json"
     code, out, _ = run(capsys, "complete", path, "--out-states", str(out_states))
     assert code == 0
     cert = json.loads(out)
-    expected = -fan.vectors[0]  # direction only checked via bloch norm
-    added = np.asarray(cert["added_bloch"])
+    added = bloch_of_added(cert)
     assert np.isclose(np.linalg.norm(added), 1.0, atol=1e-9)
+    # the antipode of the fan's Bloch sum
+    total = bloch_vectors(fan).sum(axis=0)
+    assert np.allclose(added, -total / np.linalg.norm(total), atol=1e-9)
     enlarged_doc = json.loads(out_states.read_text())
     assert len(enlarged_doc["states"]) == 4
 
@@ -271,14 +292,25 @@ def test_complete_coplanar_fan(tmp_path, capsys):
     [(0, 0, -1), (0.5, 0, np.sqrt(3) / 2), (-0.5, 0, np.sqrt(3) / 2)],  # completion is -z
 ])
 def test_complete_at_tolerance_above_the_margin_exits_as_input_error(tmp_path, capsys, bloch):
-    from antidist import state_from_bloch
-
-    sset = StateSet([state_from_bloch(r) for r in bloch])
+    sset = helpers.bloch_set(bloch)
     path = write_json(tmp_path / "set.json", state_doc(sset))
     code, out, err = run(capsys, "complete", path, "--tolerance", "0.3")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "internal error" not in err
     assert "s* = " in err and "tolerance 0.3" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command", ["check", "verify", "complete", "orbit", "bloch"])
+def test_non_finite_tolerance_exits_as_input_error(tmp_path, capsys, command, value):
+    # a tolerance that is not a finite positive number is an input error, never a verdict
+    path = write_json(tmp_path / "trine.json", state_doc(helpers.trine()))
+    operands = {"check": [path], "verify": [path, path], "complete": [path],
+                "orbit": ["--builtin", "quaternion"], "bloch": [path]}[command]
+    code, out, err = run(capsys, command, *operands, f"--tolerance={value}")
+    assert code == 2 and out == ""
+    assert "argument --tolerance: tolerance must be finite and positive" in err
+    assert "Traceback" not in err and "internal error" not in err
 
 
 def test_complete_wrong_dimension(triple_file, capsys):

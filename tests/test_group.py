@@ -3,7 +3,7 @@ import pytest
 
 from antidist import (
     GroupRep,
-    PureState,
+    StateSet,
     build_povm,
     builtin_symmetric_permutation,
     orbit,
@@ -12,7 +12,7 @@ from antidist import (
     tetrahedral_state,
     verify_antidistinguishing,
 )
-from antidist.errors import FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
+from antidist.errors import CountMismatch, FixedPoint, NotScalarOnSupport, TooLarge, WrongDimension
 
 import helpers
 
@@ -59,7 +59,7 @@ def test_orbit_tetrahedral():
 
 def test_orbit_standard_triple():
     rep = helpers.cached_symmetric(3)
-    base = PureState(np.array([1, -1, 0]) / np.sqrt(2))
+    base = StateSet([np.array([1, -1, 0]) / np.sqrt(2)])
     orb = orbit(rep, base)
     assert orb.members.n == 3
     assert orb.stabilizer_order == 2
@@ -70,14 +70,22 @@ def test_orbit_standard_triple():
 
 def test_orbit_fixed_point():
     rep = helpers.cached_symmetric(3)
-    symmetric = PureState(np.ones(3) / np.sqrt(3))
+    symmetric = StateSet([np.ones(3) / np.sqrt(3)])
     with pytest.raises(FixedPoint):
         orbit(rep, symmetric)
 
 
 def test_orbit_dimension_guard():
     with pytest.raises(WrongDimension):
-        orbit(helpers.cached_quaternion(), PureState([1, 0, 0]))
+        orbit(helpers.cached_quaternion(), StateSet([[1, 0, 0]]))
+
+
+def test_orbit_needs_one_base_state():
+    rep = helpers.cached_symmetric(3)
+    with pytest.raises(CountMismatch, match="one base state, got 2"):
+        orbit(rep, StateSet(standard_subspace_vectors(3)))
+    orb = orbit(rep, StateSet(standard_subspace_vectors(3)[:1]))
+    assert orb.base.n == 1 and orb.members.n == 3
 
 
 def test_orbit_stabilizer_relation_random():
@@ -101,7 +109,7 @@ def test_schur_sum_tetrahedral():
 
 def test_schur_sum_standard_triple():
     rep = helpers.cached_symmetric(3)
-    orb = orbit(rep, PureState(np.array([1, -1, 0]) / np.sqrt(2)))
+    orb = orbit(rep, StateSet([np.array([1, -1, 0]) / np.sqrt(2)]))
     c, r_proj = schur_sum(orb)
     assert np.isclose(c, 1.5)
     assert np.isclose(np.trace(r_proj).real, 2.0)
@@ -111,7 +119,7 @@ def test_schur_sum_standard_triple():
 
 def test_schur_sum_cyclic_basis():
     rep = helpers.cached_cyclic(3)
-    orb = orbit(rep, PureState([1, 0, 0]))
+    orb = orbit(rep, StateSet([[1, 0, 0]]))
     c, r_proj = schur_sum(orb)
     assert np.isclose(c, 1.0)
     assert np.allclose(r_proj, np.eye(3), atol=1e-10)
@@ -119,7 +127,7 @@ def test_schur_sum_cyclic_basis():
 
 def test_schur_sum_rejects_mixed_invariant_subspaces():
     rep = helpers.cached_symmetric(3)
-    base = PureState(np.array([2.0, 1.0, 1.0]) / np.sqrt(6))
+    base = StateSet([np.array([2.0, 1.0, 1.0]) / np.sqrt(6)])
     orb = orbit(rep, base)
     with pytest.raises(NotScalarOnSupport):
         schur_sum(orb)
@@ -138,7 +146,7 @@ def test_covariant_povm_tetrahedral():
 
 def test_covariant_povm_standard_triple():
     rep = helpers.cached_symmetric(3)
-    orb = orbit(rep, PureState(np.array([1, -1, 0]) / np.sqrt(2)))
+    orb = orbit(rep, StateSet([np.array([1, -1, 0]) / np.sqrt(2)]))
     c, r_proj = schur_sum(orb)
     assert np.isclose(1.0 / c, 2 / 3)
     m = build_povm(orb.members, np.full(orb.members.n, 1 / c), r_proj)
@@ -147,7 +155,7 @@ def test_covariant_povm_standard_triple():
 
 def test_covariant_povm_cyclic_basis():
     rep = helpers.cached_cyclic(3)
-    orb = orbit(rep, PureState([1, 0, 0]))
+    orb = orbit(rep, StateSet([[1, 0, 0]]))
     c, r_proj = schur_sum(orb)
     m = build_povm(orb.members, np.full(orb.members.n, 1 / c), r_proj)
     for effect, member in zip(m.effects, orb.members.projectors):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antidist import PureState, StateSet, conditions, decide, verify_antidistinguishing
+from antidist import StateSet, conditions, decide, verify_antidistinguishing
 from antidist.conditions import hermitian_povm
-from antidist.states import Verdict
+from antidist.states import Method, Verdict
 
 import helpers
 
@@ -23,8 +23,10 @@ def assert_agrees(sset: StateSet):
     if povm is not None:
         assert verify_antidistinguishing(sset, povm)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(conditions, "hermitian_povm", lambda states, tol: None)
-            assert decide(sset).verdict is not Verdict.NO
+            # decide hands the stage its span basis through the private helper
+            patch.setattr(conditions, "_hermitian_povm", lambda states, span, tol: None)
+            cert = decide(sset)
+            assert cert.verdict is not Verdict.NO and cert.method is not Method.ONE_HERMITIAN
     return povm
 
 
@@ -73,7 +75,7 @@ def test_rank_deficient_spans_get_the_complement_block():
         for d in range(r + 1, 9):
             coords = StateSet(helpers.random_vector(r, rng) for _ in range(r + d % 2))
             isometry = helpers.haar_unitary(d, rng)[:, :r]
-            sset = StateSet(PureState(isometry @ v) for v in coords.vectors)
+            sset = StateSet(isometry @ v for v in coords.vectors)
             on_span = hermitian_povm(coords)
             povm = assert_agrees(sset)
             assert (povm is None) == (on_span is None), (r, d)

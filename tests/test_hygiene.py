@@ -1,4 +1,4 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the README's example runs as written.
 
 An ``ast`` scan stands in for a linter: every name an import binds must be
 read somewhere in the module, as a ``Name`` or as the base of an
@@ -6,6 +6,9 @@ read somewhere in the module, as a ``Name`` or as the base of an
 """
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,15 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_readme_library_example_prints_its_comments():
+    # each print line of the README's python block ends in a comment holding its output
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -92,9 +92,9 @@ def test_povm_loader_accepts_certificate_docs(tmp_path):
 
 def test_povm_loader_explains_refutation_certificates(tmp_path):
     from antidist import decide
-    from antidist.states import PureState, StateSet
+    from antidist.states import StateSet
 
-    pair = StateSet([PureState([1, 0]), PureState(np.array([1, 1]) / np.sqrt(2))])
+    pair = StateSet([[1, 0], np.array([1, 1]) / np.sqrt(2)])
     cert = decide(pair)
     path = write(tmp_path, "no.json", io.certificate_to_doc(cert))
     with pytest.raises(FileFormatError, match="carries no POVM"):
@@ -215,3 +215,19 @@ def test_certificate_from_doc_ignores_bloch_weights():
     assert np.array_equal(cert.weights, helpers.LEGACY_TRINE_CERTIFICATE["weights"])
     assert len(cert.povm.effects) == 3
     assert "bloch_weights" not in io.certificate_to_doc(cert)
+
+
+def test_certificate_from_doc_reads_past_added_bloch():
+    from antidist import StateSet, bloch_vectors
+
+    doc = helpers.LEGACY_COMPLETION_CERTIFICATE
+    cert = io.certificate_from_doc(doc)
+    assert cert.method.value == "QubitBloch" and len(cert.povm.effects) == 3
+    assert np.array_equal(cert.added_state, io.wire_to_vector(doc["added_state"]))
+    # the dropped key was derived: the Bloch vector of the added state
+    added = bloch_vectors(StateSet([cert.added_state]))[0]
+    assert np.allclose(added, doc["added_bloch"], rtol=0, atol=1e-11)
+    rewritten = io.certificate_to_doc(cert)
+    assert "added_bloch" not in rewritten
+    assert rewritten == io.certificate_to_doc(io.certificate_from_doc(
+        {k: v for k, v in doc.items() if k != "added_bloch"}))

@@ -42,7 +42,7 @@ def test_trace_values():
     assert np.isclose(np.trace(np.eye(4)).real, 4.0)
     assert np.isclose(np.trace(np.diag([1.0, 1.0, 0.0])).real, 2.0)
     rng = np.random.default_rng(3)
-    p = helpers.random_pure(5, rng).projector
+    p = helpers.random_pure(5, rng).projectors[0]
     assert np.isclose(np.trace(p).real, 1.0)
 
 
@@ -95,7 +95,7 @@ def test_is_projection():
 
 def test_is_psd():
     rng = np.random.default_rng(11)
-    assert linalg.is_psd(helpers.random_pure(4, rng).projector)
+    assert linalg.is_psd(helpers.random_pure(4, rng).projectors[0])
     assert not linalg.is_psd(-np.eye(3))
     assert linalg.is_psd(helpers.SUM_TRIPLE_POVM[1].astype(complex))
 

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from antidist import (
-    PureState,
     StateSet,
     chart,
     chart_from_povm,
     decide,
     is_distinguishable,
     qubit_decide,
-    state_from_bloch,
     verify_antidistinguishing,
     verify_chart,
     verify_witness,
@@ -21,7 +19,7 @@ import helpers
 
 
 def test_distinguishable_set_short_circuits():
-    sset = StateSet([PureState(np.eye(3)[k]) for k in (0, 2)])
+    sset = StateSet(np.eye(3)[[0, 2]])
     cert = decide(sset)
     assert cert.verdict is Verdict.YES
     assert cert.method is Method.PAIRWISE_ORTHOGONAL
@@ -34,7 +32,7 @@ def test_qubit_routes():
     assert verify_antidistinguishing(helpers.trine(), cert.povm)
     assert cert.notes.endswith("LP margin s* = 0.333")
 
-    pair = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((1, 0, 0))])
+    pair = helpers.bloch_set([(0, 0, 1), (1, 0, 0)])
     cert = decide(pair)
     assert cert.verdict is Verdict.NO and cert.method is Method.QUBIT_BLOCH
     assert cert.notes.endswith("LP margin s* = -inf")
@@ -46,17 +44,17 @@ def test_qubit_routes():
 
 
 def test_fidelity_refutation_for_nonorthogonal_pair_in_d3():
-    pair = StateSet([PureState([1, 0, 0]), PureState(np.array([1, 1, 0]) / np.sqrt(2))])
+    pair = StateSet([[1, 0, 0], np.array([1, 1, 0]) / np.sqrt(2)])
     cert = decide(pair)
     assert cert.verdict is Verdict.NO
     assert cert.method is Method.FIDELITY_VIOLATION
 
 
 def test_single_state_is_refuted():
-    cert = decide(StateSet([PureState([1, 0])]))
+    cert = decide(StateSet([[1, 0]]))
     assert cert.verdict is Verdict.NO and cert.method is Method.QUBIT_BLOCH
 
-    cert = decide(StateSet([PureState([1, 0, 0])]))
+    cert = decide(StateSet([[1, 0, 0]]))
     assert cert.verdict is Verdict.NO and cert.method is Method.FIDELITY_VIOLATION
 
 
@@ -89,7 +87,7 @@ def test_chart_route_with_seed_and_unknown_without(monkeypatch):
 def test_decide_agrees_with_cfs_on_random_triples():
     rng = np.random.default_rng(131)
     for _ in range(200):
-        triple = StateSet([helpers.random_pure(3, rng) for _ in range(3)])
+        triple = StateSet([helpers.random_vector(3, rng) for _ in range(3)])
         margin = helpers.cfs_margin(triple)
         cert = decide(triple)
         if abs(margin) > 1e-9:
@@ -106,7 +104,7 @@ def test_pair_equivalence_distinguishable_iff_antidistinguishable():
     for _ in range(100):
         sset = helpers.random_qubit_set(2, rng)
         assert qubit_decide(sset).feasible == is_distinguishable(sset)
-    antipodal = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((0, 0, -1))])
+    antipodal = helpers.bloch_set([(0, 0, 1), (0, 0, -1)])
     assert qubit_decide(antipodal).feasible and is_distinguishable(antipodal)
 
 
@@ -119,11 +117,8 @@ def test_singular_gram_routes_to_search_not_crash():
     from antidist.errors import SingularSystem
 
     angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
-    members = []
-    for a in angles:
-        v2 = state_from_bloch((np.cos(a), np.sin(a), 0)).vector
-        members.append(PureState(np.append(v2, 0.0)))
-    sset = StateSet(members)
+    square = helpers.bloch_set([(np.cos(a), np.sin(a), 0) for a in angles])
+    sset = StateSet(np.hstack([square.vectors, np.zeros((4, 1))]))
     with pytest.raises(SingularSystem):
         solve_weights(sset)
     cert = decide(sset)
@@ -134,7 +129,7 @@ def test_singular_gram_routes_to_search_not_crash():
     # system is singular too, but their span has rank 3: the one-Hermitian
     # stage decides the random set, and the chart solve the clustered one it declines
     rng = np.random.default_rng(5)
-    random_set = StateSet([helpers.random_pure(3, rng) for _ in range(10)])
+    random_set = StateSet([helpers.random_vector(3, rng) for _ in range(10)])
     clustered = helpers.clustered(3, 1.0, np.random.default_rng(4), n=10)
     for sset, method in ((random_set, Method.ONE_HERMITIAN), (clustered, Method.CHART)):
         with pytest.raises(SingularSystem):
@@ -164,11 +159,11 @@ def test_rank_two_span_gets_the_qubit_lp_verdict():
         if k % 2:
             qset = helpers.random_qubit_set(int(rng.integers(3, 7)), rng)
         else:
-            qset = StateSet([state_from_bloch(r) for r in _hull_boundary_bloch(rng)])
+            qset = helpers.bloch_set(_hull_boundary_bloch(rng))
         expect = helpers.linprog_strictly_feasible(bloch_vectors(qset))
         for d in (3, 5):
             isometry = helpers.haar_unitary(d, rng)[:, :2]
-            sset = StateSet([PureState(isometry @ v) for v in qset.vectors])
+            sset = StateSet([isometry @ v for v in qset.vectors])
             cert = decide(sset)
             assert cert.verdict is (Verdict.YES if expect else Verdict.NO), (k, d, cert.notes)
             if cert.verdict is Verdict.YES:
@@ -181,7 +176,7 @@ def test_yes_certificates_always_carry_verifying_povm():
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, min(d + 2, 5)))
         try:
-            sset = StateSet([helpers.random_pure(d, rng) for _ in range(n)])
+            sset = StateSet([helpers.random_vector(d, rng) for _ in range(n)])
         except Exception:
             continue
         cert = decide(sset)

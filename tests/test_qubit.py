@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from antidist import (
-    PureState,
     StateSet,
     Verdict,
-    bloch_from_state,
     bloch_vectors,
     build_povm,
     check_sum_condition,
@@ -23,20 +21,21 @@ import helpers
 
 
 def test_bloch_from_state_known_values():
-    assert np.allclose(bloch_from_state(PureState([1, 0])), [0, 0, 1])
+    # the Bloch vector of a single state: the one row of bloch_vectors on a one-row set
+    assert np.allclose(bloch_vectors(StateSet([[1, 0]]))[0], [0, 0, 1])
     assert np.allclose(
-        bloch_from_state(PureState(np.array([1, 1]) / np.sqrt(2))), [1, 0, 0], atol=1e-12
+        bloch_vectors(StateSet([np.array([1, 1]) / np.sqrt(2)]))[0], [1, 0, 0], atol=1e-12
     )
     assert np.allclose(
-        bloch_from_state(tetrahedral_state()), np.ones(3) / np.sqrt(3), atol=1e-12
+        bloch_vectors(tetrahedral_state())[0], np.ones(3) / np.sqrt(3), atol=1e-12
     )
 
 
 def test_bloch_dimension_guard():
     with pytest.raises(WrongDimension):
-        bloch_from_state(PureState([1, 0, 0]))
+        bloch_vectors(StateSet([[1, 0, 0]]))
     with pytest.raises(WrongDimension):
-        bloch_vectors(StateSet([PureState([1, 0, 0])]))
+        bloch_vectors(StateSet(np.eye(3)[:2]))
 
 
 def test_state_from_bloch_roundtrip():
@@ -44,7 +43,9 @@ def test_state_from_bloch_roundtrip():
     for _ in range(50):
         r = rng.standard_normal(3)
         r /= np.linalg.norm(r)
-        assert np.allclose(bloch_from_state(state_from_bloch(r)), r, atol=1e-10)
+        state = state_from_bloch(r)
+        assert (state.n, state.dim) == (1, 2)
+        assert np.allclose(bloch_vectors(state)[0], r, atol=1e-10)
 
 
 def test_decide_trine():
@@ -60,19 +61,19 @@ def test_decide_tetrahedron():
 
 
 def test_decide_two_non_antipodal_states():
-    sset = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((1, 0, 0))])
+    sset = helpers.bloch_set([(0, 0, 1), (1, 0, 0)])
     assert not qubit_decide(sset).feasible
 
 
 def test_decide_antipodal_pair():
-    sset = StateSet([state_from_bloch((0, 0, 1)), state_from_bloch((0, 0, -1))])
+    sset = helpers.bloch_set([(0, 0, 1), (0, 0, -1)])
     verdict = qubit_decide(sset)
     assert verdict.feasible
     assert np.allclose(verdict.weights, [1.0, 1.0], atol=1e-10)
 
 
 def test_decide_single_state_infeasible():
-    assert not qubit_decide(StateSet([PureState([1, 0])])).feasible
+    assert not qubit_decide(StateSet([[1, 0]])).feasible
 
 
 def test_feasible_weights_certify():
@@ -133,20 +134,20 @@ def test_scale_invariance_of_feasibility():
 
 
 def test_complete_single_state():
-    sset = StateSet([state_from_bloch((0, 0, 1))])
+    sset = state_from_bloch((0, 0, 1))
     added, verdict = qubit_complete(sset)
-    assert added is not None
-    assert np.allclose(verdict.added_state, [0, 0, -1], atol=1e-12)
+    assert added is not None and added.n == 1
+    assert np.allclose(bloch_vectors(added)[0], [0, 0, -1], atol=1e-12)
     assert verdict.feasible
     enlarged = StateSet.join(sset, added)
     assert qubit_decide(enlarged).feasible
 
 
 def test_complete_two_states():
-    sset = StateSet([state_from_bloch((1, 0, 0)), state_from_bloch((0, 1, 0))])
+    sset = helpers.bloch_set([(1, 0, 0), (0, 1, 0)])
     added, verdict = qubit_complete(sset)
     expected = -np.array([1, 1, 0]) / np.sqrt(2)
-    assert np.allclose(verdict.added_state, expected, atol=1e-10)
+    assert np.allclose(bloch_vectors(added)[0], expected, atol=1e-10)
     enlarged = StateSet.join(sset, added)
     assert qubit_decide(enlarged).feasible
     assert verify_antidistinguishing(enlarged, build_povm(enlarged, verdict.weights, np.eye(2)))
@@ -162,7 +163,7 @@ def test_complete_coplanar_fan():
     # a fan of coplanar vectors covering less than a half-circle cannot be
     # feasible; one opposite vector fixes that
     angles = [0.15, 0.45, 0.8, 1.1]
-    sset = StateSet([state_from_bloch((np.cos(a), np.sin(a), 0)) for a in angles])
+    sset = helpers.bloch_set([(np.cos(a), np.sin(a), 0) for a in angles])
     assert not qubit_decide(sset).feasible
     added, verdict = qubit_complete(sset)
     assert added is not None
@@ -180,7 +181,7 @@ def test_completion_soundness_randomized():
         added, verdict = qubit_complete(sset)
         assert added is not None and verdict.feasible
         for p in sset.projectors:
-            assert np.linalg.norm(added.projector - p) > 1e-7
+            assert np.linalg.norm(added.projectors[0] - p) > 1e-7
         enlarged = StateSet.join(sset, added)
         assert qubit_decide(enlarged).feasible
         assert verify_antidistinguishing(enlarged, build_povm(enlarged, verdict.weights, np.eye(2)))
@@ -197,7 +198,7 @@ def test_bloch_vectors_match_trace_formula():
                 for q in sset.projectors]
     assert np.allclose(bloch_vectors(sset), expected, rtol=0, atol=1e-15)
     for v, row in zip(sset.vectors, expected):
-        assert np.allclose(bloch_from_state(PureState(v)), row, rtol=0, atol=1e-15)
+        assert np.allclose(bloch_vectors(StateSet([v]))[0], row, rtol=0, atol=1e-15)
 
 
 def test_decision_agrees_with_enumeration_and_lp_oracles():
@@ -233,7 +234,7 @@ def test_origin_on_hull_boundary_is_no(name):
     rng = np.random.default_rng(101)
     base = np.array(ORIGIN_ON_BOUNDARY[name], dtype=float)
     for rotation in [np.eye(3)] + [helpers.random_rotation(rng) for _ in range(5)]:
-        sset = StateSet([state_from_bloch(r) for r in base @ rotation.T])
+        sset = helpers.bloch_set(base @ rotation.T)
         bloch = bloch_vectors(sset)
         verdict = qubit_decide(sset)
         assert not verdict.feasible
@@ -272,10 +273,6 @@ def test_margin_matches_lp_oracle():
     assert checked >= 200
 
 
-def make_states(bloch):
-    return [state_from_bloch(r) for r in bloch]
-
-
 PLATONIC = {
     "tetrahedron": (helpers.TETRA_BLOCH, 1 / 4),
     "octahedron": (np.vstack([np.eye(3), -np.eye(3)]), 1 / 6),
@@ -288,7 +285,7 @@ PLATONIC = {
 @pytest.mark.parametrize("name", sorted(PLATONIC))
 def test_platonic_margins_and_uniform_weights(name):
     bloch, margin = PLATONIC[name]
-    verdict = qubit_decide(StateSet(make_states(bloch)))
+    verdict = qubit_decide(helpers.bloch_set(bloch))
     assert verdict.feasible
     assert abs(verdict.margin - margin) <= 1e-12
     assert np.allclose(verdict.weights, 2 / len(bloch), rtol=0, atol=1e-12)
@@ -317,7 +314,7 @@ def test_thin_sets_near_rank_two(eps):
     for plane in _plane_sets(rng, 12):
         tilted = plane + eps * np.outer(rng.standard_normal(len(plane)), [0, 0, 1])
         tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
-        sset = StateSet(make_states(tilted @ helpers.random_rotation(rng).T))
+        sset = helpers.bloch_set(tilted @ helpers.random_rotation(rng).T)
         cert = decide(sset)
         if cert.verdict is Verdict.YES:
             assert verify_antidistinguishing(sset, cert.povm)
@@ -337,7 +334,7 @@ def test_trine_lifted_off_the_origin_is_decided_at_every_tolerance(height, tol):
     angles = np.array([0, 2, 4]) * np.pi / 3
     lifted = np.column_stack([np.sqrt(1 - height**2) * np.cos(angles),
                               np.sqrt(1 - height**2) * np.sin(angles), np.full(3, height)])
-    sset = StateSet(make_states(lifted))
+    sset = helpers.bloch_set(lifted)
     cert = decide(sset, tol)
     assert (cert.verdict is Verdict.YES) == (np.sqrt(2) * height <= RESIDUAL_TOL)
     if cert.verdict is Verdict.YES:

@@ -6,7 +6,6 @@ import pytest
 
 from antidist import (
     GroupRep,
-    PureState,
     StateSet,
     two_n_construction,
     verify_antidistinguishing,
@@ -30,7 +29,7 @@ def _random_ops(kind: str, d: int, m: int, rng: np.random.Generator) -> np.ndarr
     if kind == "unitary":
         return np.stack([helpers.haar_unitary(d, rng) for _ in range(m)])
     if kind == "pure":
-        return np.stack([helpers.random_pure(d, rng).projector for _ in range(m)])
+        return np.stack([helpers.random_pure(d, rng).projectors[0] for _ in range(m)])
     mats = []
     for _ in range(m):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -65,9 +64,9 @@ def test_first_match_sees_through_global_phase():
     rng = np.random.default_rng(103)
     for d in range(2, 9):
         states = [helpers.random_pure(d, rng) for _ in range(6)]
-        rotated = [PureState(np.exp(1j * rng.uniform(0, 2 * np.pi)) * s.vector) for s in states]
-        known = np.stack([s.projector for s in states])
-        ops = np.stack([s.projector for s in rotated[::-1]])
+        rotated = [StateSet(np.exp(1j * rng.uniform(0, 2 * np.pi)) * s.vectors) for s in states]
+        known = np.concatenate([s.projectors for s in states])
+        ops = np.concatenate([s.projectors for s in rotated[::-1]])
         assert first_match(known, ops).tolist() == [5, 4, 3, 2, 1, 0]
         # the unitaries themselves differ by the phase
         u = helpers.haar_unitary(d, rng)
@@ -91,20 +90,20 @@ def test_state_set_agrees_with_pairwise_loop():
         for _ in range(int(rng.integers(0, 3))):
             k = int(rng.integers(0, len(members)))
             distance, _ = PLANTED[int(rng.integers(0, len(PLANTED)))]
-            v = members[k].vector
+            v = members[k].vectors[0]
             w = helpers.random_vector(d, rng)
             w -= np.vdot(v, w) * v
             w /= np.linalg.norm(w)
             # ||P - Q||_F = sqrt(2) sin(theta) for unit vectors at angle theta
             theta = np.arcsin(distance / np.sqrt(2))
-            copy = PureState(np.exp(0.7j) * (np.cos(theta) * v + np.sin(theta) * w))
+            copy = StateSet([np.exp(0.7j) * (np.cos(theta) * v + np.sin(theta) * w)])
             members.insert(int(rng.integers(0, len(members) + 1)), copy)
-        pair = _first_pair([m.projector for m in members])
+        pair = _first_pair([m.projectors[0] for m in members])
         if pair is None:
-            assert StateSet(members).n == len(members)
+            assert StateSet.join(*members).n == len(members)
         else:
             with pytest.raises(DuplicateState, match=f"states {pair[0]} and {pair[1]} "):
-                StateSet(members)
+                StateSet.join(*members)
 
 
 def test_orbit_agrees_with_pairwise_dedupe():
@@ -113,7 +112,7 @@ def test_orbit_agrees_with_pairwise_dedupe():
         orb, _, _ = helpers.random_certified_orbit(rng)
         rep = {2: helpers.cached_quaternion(), 3: helpers.cached_symmetric(3),
                4: helpers.cached_symmetric(4)}[orb.base.dim]
-        images = [np.outer(v, v.conj()) for v in (u @ orb.base.vector for u in rep.elements)]
+        images = [np.outer(v, v.conj()) for v in (u @ orb.base.vectors[0] for u in rep.elements)]
         first = helpers.pairwise_first_match(images, images)
         kept = [images[k] for k in range(len(images)) if first[k] == k]
         assert orb.members.n == len(kept)
@@ -137,25 +136,22 @@ def _merge_loop(states, effects):
     return kept, summed
 
 
-@pytest.mark.parametrize("balanced", [True, False])
-def test_two_n_agrees_with_merge_loop(balanced):
+def test_two_n_agrees_with_merge_loop():
     rng = np.random.default_rng(106)
-    sets = [StateSet([PureState([1, 0]), PureState([0, 1])]),
-            StateSet([PureState([1, 0]), PureState([0, 1]), helpers.random_pure(2, rng)]),
+    sets = [StateSet([[1, 0], [0, 1]]),
+            StateSet([[1, 0], [0, 1], helpers.random_vector(2, rng)]),
             helpers.random_orthonormal_subset(2, 2, rng)]
-    sets += [StateSet([helpers.random_pure(d, rng) for _ in range(d)]) for d in (2, 3, 4)]
+    sets += [StateSet([helpers.random_vector(d, rng) for _ in range(d)]) for d in (2, 3, 4)]
     for states in sets:
         n, d = states.n, states.dim
-        halving = [2.0 ** -(n - 1)] + [2.0 ** -(n - i) for i in range(1, n)]
-        scales = [1.0 / n] * n if balanced else halving
         ops, effects = [], []
-        for scale, v, p in zip(scales, states.vectors, states.projectors):
+        for v, p in zip(states.vectors, states.projectors):
             # the pure partner: the first column of the SVD complement of v
             phi = linalg.span_bases([v])[1][:, 0]
             ops += [p, np.outer(phi, phi.conj())]
-            effects += [scale * (np.eye(d) - p), scale * p]
+            effects += [(np.eye(d) - p) / n, p / n]
         kept, summed = _merge_loop(ops, effects)
-        enlarged, m = two_n_construction(states, balanced)
+        enlarged, m = two_n_construction(states)
         assert enlarged.n == len(kept) == len(m.effects)
         for got, want in zip(enlarged.projectors, kept):
             assert np.linalg.norm(got - want) <= 1e-12
@@ -167,7 +163,7 @@ def _two_n_sets(rng):
     """Seeded random sets, orthonormal subsets and basis subsets, d = 2..6, n = 1..8."""
     for d in range(2, 7):
         for n in range(1, 9):
-            yield StateSet([helpers.random_pure(d, rng) for _ in range(n)])
+            yield StateSet([helpers.random_vector(d, rng) for _ in range(n)])
             if n <= d:
                 yield helpers.random_orthonormal_subset(d, n, rng)
                 yield StateSet(np.eye(d)[rng.choice(d, n, replace=False)])
@@ -179,26 +175,23 @@ def test_two_n_adds_at_most_n_pure_states():
     for _ in range(15):
         for states in _two_n_sets(rng):
             n, d = states.n, states.dim
-            for balanced in (True, False):
-                enlarged, m = two_n_construction(states, balanced)
-                assert isinstance(enlarged, StateSet) and enlarged.dim == d
-                assert np.abs(np.linalg.norm(enlarged.vectors, axis=1) - 1).max() <= 1e-12
-                assert n <= enlarged.n <= 2 * n
-                # the input states come first in each pair, so all of them are kept
-                assert (first_match(enlarged.projectors, states.projectors) >= 0).all()
-                assert verify_antidistinguishing(enlarged, m)
-                if d == 2:
-                    # the construction that paired P with the mixed state (1 - P)/(d - 1)
-                    halving = [2.0 ** -(n - 1)] + [2.0 ** -(n - i) for i in range(1, n)]
-                    scales = [1.0 / n] * n if balanced else halving
-                    ops, effects = [], []
-                    for scale, p in zip(scales, states.projectors):
-                        ops += [p, (np.eye(d) - p) / (d - 1)]
-                        effects += [scale * (np.eye(d) - p), scale * p]
-                    kept, summed = _merge_loop(ops, effects)
-                    assert enlarged.n == len(kept)
-                    assert np.abs(enlarged.projectors - np.array(kept)).max() <= 1e-12
-                    assert np.abs(m.effects - np.array(summed)).max() <= 1e-12
+            enlarged, m = two_n_construction(states)
+            assert isinstance(enlarged, StateSet) and enlarged.dim == d
+            assert np.abs(np.linalg.norm(enlarged.vectors, axis=1) - 1).max() <= 1e-12
+            assert n <= enlarged.n <= 2 * n
+            # the input states come first in each pair, so all of them are kept
+            assert (first_match(enlarged.projectors, states.projectors) >= 0).all()
+            assert verify_antidistinguishing(enlarged, m)
+            if d == 2:
+                # the construction that paired P with the mixed state (1 - P)/(d - 1)
+                ops, effects = [], []
+                for p in states.projectors:
+                    ops += [p, (np.eye(d) - p) / (d - 1)]
+                    effects += [(np.eye(d) - p) / n, p / n]
+                kept, summed = _merge_loop(ops, effects)
+                assert enlarged.n == len(kept)
+                assert np.abs(enlarged.projectors - np.array(kept)).max() <= 1e-12
+                assert np.abs(m.effects - np.array(summed)).max() <= 1e-12
             checked += 1
     assert checked == 1200
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from antidist import Certificate, Method, Povm, PureState, StateSet, Verdict
+from antidist import Certificate, Method, Povm, StateSet, Verdict
 from antidist import io
 from antidist.errors import (
     DuplicateState,
@@ -17,22 +17,23 @@ import helpers
 
 
 def test_pure_state_known_projectors():
-    p1 = PureState([1, 0, 0])
-    assert np.allclose(p1.projector, np.diag([1.0, 0.0, 0.0]))
+    # a single state is a one-row set
+    p1 = StateSet([[1, 0, 0]])
+    assert np.allclose(p1.projectors[0], np.diag([1.0, 0.0, 0.0]))
 
-    p2 = PureState(np.array([1, 2, 0]) / np.sqrt(5))
+    p2 = StateSet([np.array([1, 2, 0]) / np.sqrt(5)])
     expected = np.array([[1, 2, 0], [2, 4, 0], [0, 0, 0]]) / 5.0
-    assert np.allclose(p2.projector, expected, atol=1e-12)
+    assert np.allclose(p2.projectors[0], expected, atol=1e-12)
 
 
 def test_pure_state_norm_validation():
     with pytest.raises(NormOutOfRange):
-        PureState([0.5, 0.5])
+        StateSet([[0.5, 0.5]])
     with pytest.raises(ZeroVector):
-        PureState([0.0, 0.0])
+        StateSet([[0.0, 0.0]])
     # tiny norm deviations are renormalized exactly
-    s = PureState(np.array([1.0, 0.0]) * (1 + 5e-7))
-    assert np.isclose(np.linalg.norm(s.vector), 1.0)
+    s = StateSet([np.array([1.0, 0.0]) * (1 + 5e-7)])
+    assert np.isclose(np.linalg.norm(s.vectors[0]), 1.0)
 
 
 def test_pure_state_projector_roundtrip_random():
@@ -40,19 +41,19 @@ def test_pure_state_projector_roundtrip_random():
     for _ in range(50):
         d = int(rng.integers(2, 7))
         v = helpers.random_vector(d, rng)
-        s = PureState(v)
-        assert np.linalg.norm(s.projector - np.outer(v, v.conj())) <= 1e-10
-        assert np.isclose(np.trace(s.projector).real, 1.0)
+        s = StateSet([v])
+        assert np.linalg.norm(s.projectors[0] - np.outer(v, v.conj())) <= 1e-10
+        assert np.isclose(np.trace(s.projectors[0]).real, 1.0)
 
 
 def test_global_phase_is_quotiented():
     rng = np.random.default_rng(6)
     v = helpers.random_vector(3, rng)
-    a = PureState(v)
-    b = PureState(np.exp(1j * 0.37) * v)
-    assert np.linalg.norm(a.projector - b.projector) <= 1e-12
+    a = StateSet([v])
+    b = StateSet([np.exp(1j * 0.37) * v])
+    assert np.linalg.norm(a.projectors - b.projectors) <= 1e-12
     with pytest.raises(DuplicateState):
-        StateSet([a, b])
+        StateSet.join(a, b)
 
 
 def test_state_set_validates_every_row():
@@ -74,13 +75,13 @@ def test_state_set_validates_every_row():
     assert np.allclose(np.linalg.norm(sset.vectors, axis=1), 1.0, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="vectors of one length"):
         StateSet([[1, 0], [1, 0, 0]])
-    # a PureState validates its one row with the same helper
+    # a one-row set names its row as state 0
     with pytest.raises(NormOutOfRange, match="state 0: norm 1.100000000"):
-        PureState(1.1 * rows[0])
+        StateSet([1.1 * rows[3]])
 
 
 def test_povm_validation():
-    p = PureState([1, 0]).projector
+    p = StateSet([[1, 0]]).projectors[0]
     Povm([p, np.eye(2) - p])
 
     Povm([np.asarray(e, complex) for e in helpers.SUM_TRIPLE_POVM])
@@ -97,13 +98,15 @@ def test_povm_validation():
 
 def test_state_set_rejects_duplicates():
     with pytest.raises(DuplicateState):
-        StateSet([PureState([1, 0]), PureState([1, 0])])
+        StateSet([[1, 0], [1, 0]])
+    with pytest.raises(DuplicateState):
+        StateSet.join(StateSet([[1, 0]]), StateSet([[1, 0]]))
 
 
 def test_state_set_mixed_members():
     # every member is pure: a density matrix is not a state vector
     with pytest.raises(ValueError, match="vectors of one length"):
-        StateSet([PureState([1, 0]), np.eye(2) / 2])
+        StateSet([[1, 0], np.eye(2) / 2])
     with pytest.raises(ValueError, match="vectors of one length"):
         StateSet([np.eye(2) / 2])
 
@@ -116,15 +119,15 @@ def test_state_set_is_one_array():
     assert (sset.dim, sset.n) == (4, 5)
     for v, p in zip(sset.vectors, sset.projectors):
         assert np.array_equal(p, np.outer(v, v.conj()))
-    # PureStates and plain rows give the same set
-    same = StateSet([PureState(v) if k % 2 else v for k, v in enumerate(rows)])
+    # one-row sets, joined, give the same set: a row normalizes alone as in a batch
+    same = StateSet.join(*[StateSet([v]) for v in rows])
     assert np.array_equal(same.vectors, sset.vectors)
     # join keeps the members' vectors bit for bit and still refuses duplicates
-    extra = PureState(helpers.random_vector(4, rng))
+    extra = StateSet([helpers.random_vector(4, rng)])
     joined = StateSet.join(sset, extra)
-    assert np.array_equal(joined.vectors, np.vstack([sset.vectors, extra.vector]))
+    assert np.array_equal(joined.vectors, np.vstack([sset.vectors, extra.vectors]))
     with pytest.raises(DuplicateState, match="states 1 and 5"):
-        StateSet.join(sset, PureState(np.exp(0.3j) * sset.vectors[1]))
+        StateSet.join(sset, StateSet([np.exp(0.3j) * sset.vectors[1]]))
 
 
 def test_certificate_roundtrip_is_byte_identical():
@@ -145,13 +148,13 @@ def test_certificate_fields_survive_serialization():
         Verdict.YES,
         Method.QUBIT_BLOCH,
         weights=np.array([1.0, 1.0]),
-        added_bloch=np.array([0.0, 0.0, -1.0]),
+        added_state=np.array([0.0, 1.0j]),
         notes="test",
     )
     doc = io.certificate_to_doc(cert)
     back = io.certificate_from_doc(doc)
     assert np.allclose(back.weights, [1, 1])
-    assert np.allclose(back.added_bloch, [0, 0, -1])
+    assert np.allclose(back.added_state, [0, 1j])
     assert back.notes == "test"
 
 
@@ -165,14 +168,14 @@ def test_duplicate_check_threshold_and_order():
     def near(distance):
         # ||P - Q||_F = sqrt(2) sin(theta) for unit vectors at angle theta
         theta = np.arcsin(distance / np.sqrt(2))
-        return PureState(np.cos(theta) * v + np.sin(theta) * u)
+        return np.cos(theta) * v + np.sin(theta) * u
 
-    a = PureState(v)
+    a = v
     assert StateSet([a, near(2e-7)]).n == 2
     with pytest.raises(DuplicateState, match="states 0 and 1"):
         StateSet([a, near(0.5e-7)])
-    b = PureState(helpers.random_vector(3, rng))
-    b_phase = PureState(np.exp(2.1j) * b.vector)
+    b = helpers.random_vector(3, rng)
+    b_phase = np.exp(2.1j) * b
     with pytest.raises(DuplicateState, match="states 1 and 2"):
         StateSet([a, b, b_phase])
     # the first pair in row order is named, not the first adjacent one

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import antidist
-from antidist import StateSet, cli, decide, io, state_from_bloch
+from antidist import StateSet, cli, decide, io
 from antidist import verify_antidistinguishing
 from antidist.states import Verdict
 
@@ -23,12 +23,12 @@ SLIM_MARGIN_BLOCH = [(1, 0, 0), (-1, 0, 1e-6), (0, 0, -1), (0, 1, 0), (0, -1, 0)
 
 def _policy_sets() -> list[StateSet]:
     rng = np.random.default_rng(151)
-    sets = [StateSet([state_from_bloch(r) for r in SLIM_MARGIN_BLOCH])]
+    sets = [helpers.bloch_set(SLIM_MARGIN_BLOCH)]
     sets += [helpers.random_qubit_set(int(rng.integers(2, 8)), rng) for _ in range(40)]
     for _ in range(30):
         d = int(rng.integers(3, 6))
         n = int(rng.integers(3, 2 * d + 1))
-        sets.append(StateSet([helpers.random_pure(d, rng) for _ in range(n)]))
+        sets.append(StateSet([helpers.random_vector(d, rng) for _ in range(n)]))
     sets.append(helpers.sum_condition_triple())
     sets.append(helpers.random_certified_orbit(rng)[0].members)
     return sets
@@ -43,7 +43,7 @@ def test_every_yes_verifies_at_its_own_tolerance(tol):
 
 
 def test_cli_tolerance_reaches_the_qubit_verdict(tmp_path):
-    sset = StateSet([state_from_bloch(r) for r in SLIM_MARGIN_BLOCH])
+    sset = helpers.bloch_set(SLIM_MARGIN_BLOCH)
     path = tmp_path / "slim.json"
     path.write_text(json.dumps(io.state_set_to_doc(sset)))
     assert cli.main(["check", str(path)]) == 0

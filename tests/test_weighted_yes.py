@@ -8,7 +8,6 @@ import pytest
 
 from antidist import (
     Method,
-    PureState,
     StateSet,
     Verdict,
     build_povm,
@@ -41,7 +40,7 @@ def weighted_sets():
     for _ in range(10):
         qset = helpers.random_qubit_set(int(rng.integers(3, 7)), rng)
         isometry = helpers.haar_unitary(int(rng.integers(3, 6)), rng)[:, :2]
-        yield StateSet([PureState(isometry @ v) for v in qset.vectors])
+        yield StateSet([isometry @ v for v in qset.vectors])
 
 
 def test_decide_weights_determine_the_measurement():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from antidist import cli, io, linalg, verify_antidistinguishing
 from antidist.errors import FileFormatError
-from antidist.states import PureState, StateSet
+from antidist.states import StateSet
 
 import helpers
 from test_fuzz import leaves, values
@@ -140,7 +140,7 @@ def test_orbit_and_complete_files_are_rewritten_byte_for_byte(tmp_path):
     assert code == 0
     both = json.loads(out)
     assert io.dumps_doc(both) == out
-    pair = StateSet([PureState([1, 0]), PureState(np.array([1, 1]) / np.sqrt(2))])
+    pair = StateSet([[1, 0], np.array([1, 1]) / np.sqrt(2)])
     states = write_states(tmp_path / "pair.json", pair)
     added, enlarged = tmp_path / "added.json", tmp_path / "enlarged.json"
     assert run("complete", states, "-o", str(added), "--out-states", str(enlarged))[0] == 0
