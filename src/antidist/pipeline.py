@@ -11,7 +11,8 @@ Order of attack for a pure state set:
    measurement ``conditions.build_povm`` makes of the weights; every
    weighted yes, the qubit ones of step 2 included, uses it),
 5. one Hermitian H with sum_j Pi_j H Pi_j = I, Pi_j = I - P_j, from one
-   r^2 x r^2 linear solve on the span of rank r (``conditions.hermitian_povm``):
+   r^2 x r^2 linear solve on the span of rank r (``conditions.hermitian_povm``,
+   given the span basis that the rank-2 check took):
    yes when the effects Pi_j H Pi_j form a measurement that verifies; a
    singular system or a failed check passes the set on,
 6. the chart solve: yes with its verified measurement, or no with a
