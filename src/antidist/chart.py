@@ -95,28 +95,21 @@ def povm_from_chart(chart: Chart, tol: float = linalg.DEFAULT_TOL) -> Povm:
 def chart_from_povm(states: StateSet, m: Povm, tol: float = linalg.DEFAULT_TOL) -> Chart:
     """Chart recovered from an excluding measurement.
 
-    Each effect is spectrally decomposed; eigenvectors with positive weight
-    become completion states with their eigenvalues as coefficients, and
-    the column is padded with zero-coefficient directions orthogonal to
-    both the state and the kept eigenvectors.
+    An effect M_j that annihilates state j lives on its complement, so with
+    V_j the isometries of the chart solve, M_j = V_j (V_j^dagger M_j V_j) V_j^dagger:
+    one batched eigh of the compressions gives the completions V_j u as their
+    eigenvectors and the coefficients as their eigenvalues, clipped to [0, 1].
     """
     if len(m.effects) != states.n:
         raise CountMismatch(f"{len(m.effects)} effects for {states.n} states")
-    n, d = states.n, states.dim
-    completions = []
-    alphas = np.zeros((n, d - 1))
-    for j, (psi, effect) in enumerate(zip(states.vectors, m.effects)):
-        if abs(np.vdot(psi, effect @ psi).real) > tol:
-            raise InvalidChart(f"effect {j} does not annihilate state {j}")
-        w, v = linalg.hermitian_eigen(effect, tol)
-        kept = w > tol
-        lam, vecs = w[kept][::-1], v[:, kept][:, ::-1]
-        if lam.size > d - 1:
-            raise InvalidChart(f"could not complete a column for state {j}")
-        basis = linalg.orthonormal_columns(np.column_stack([psi, vecs]), complete=True)
-        alphas[j, : lam.size] = np.minimum(lam, 1.0)
-        completions.append(basis[:, 1:].T)
-    return Chart(states, np.array(completions), alphas)
+    psi = states.vectors
+    missed = np.abs(np.einsum("ja,jab,jb->j", psi.conj(), m.effects, psi).real) > tol
+    if missed.any():
+        j = int(np.argmax(missed))
+        raise InvalidChart(f"effect {j} does not annihilate state {j}")
+    v = linalg.complements(psi)
+    lam, u = np.linalg.eigh(np.swapaxes(v.conj(), 1, 2) @ m.effects @ v)
+    return Chart(states, np.swapaxes(v @ u, 1, 2), np.clip(lam, 0.0, 1.0))
 
 
 @dataclass

@@ -9,7 +9,8 @@ no weights, the pairwise-fidelity necessary bound (for pure states the
 fidelity is the overlap tr(P_j P_k)), and the two set constructions (disjoint
 union, and adding at most n pure states to make n states excludable).  Every
 function works on the arrays of a ``StateSet`` and the effect stack of a
-``Povm``.
+``Povm``; the span projector R, its rank and the one-Hermitian solve's basis
+all come from the one basis ``StateSet.span``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def swap_povm(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Povm:
         raise CountMismatch("outcome swapping needs at least two states")
     if not is_distinguishable(states, tol):
         raise ValueError("swap_povm needs pairwise orthogonal states")
-    comp = np.eye(states.dim) - linalg.span_projector(states.vectors, tol)
+    span = states.span(tol)
+    comp = np.eye(states.dim) - span @ linalg.adjoint(span)
     return Povm(np.roll(states.projectors, -1, axis=0) + comp / states.n, tol)
 
 
@@ -93,11 +95,11 @@ def check_sum_condition(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (states.n,):
         raise CountMismatch("one weight per state required")
-    r_proj = linalg.span_projector(states.vectors, tol)
-    rank = int(round(np.trace(r_proj).real))
+    span = states.span(tol)
+    r_proj = span @ linalg.adjoint(span)
     total = (weights[:, None, None] * states.projectors).sum(axis=0)
     satisfied = bool(weights.min() > tol) and linalg.frobenius(total - r_proj) <= linalg.RESIDUAL_TOL
-    return SumConditionResult(weights, r_proj, rank, satisfied)
+    return SumConditionResult(weights, r_proj, span.shape[1], satisfied)
 
 
 def build_povm(states: StateSet, weights, r_proj: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> Povm:
@@ -125,23 +127,14 @@ def hermitian_povm(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Povm | 
     V of R, Q_j = c_j c_j^dagger and S = sum_j Q_j, row-major vec turns the map
     into the r^2 x r^2 matrix L = n I - S kron I - I kron S^T + sum_j vec(Q_j) vec(Q_j)^dagger,
     whose last term is one product of the (n, r^2) stack of flattened Q_j, and
-    whose other terms are diagonal, since V is the states' left singular basis.
+    whose other terms are diagonal, since V, ``states.span``, is the left singular basis.
     Solving on R, not in d^2 unknowns, keeps a few states in a large space cheap.
 
     None when L is singular, or when the effects fail the ``Povm`` checks or
     ``verify_antidistinguishing``: the same acceptance as the chart solve's primal.
     """
-    return _hermitian_povm(states, linalg.span_bases(states.vectors, tol)[0], tol)
-
-
-def _hermitian_povm(states: StateSet, span: np.ndarray, tol: float) -> Povm | None:
-    """``hermitian_povm`` on the span basis ``span`` that the caller already holds.
-
-    ``span`` must be the states' left singular basis: the (d, r) columns that
-    ``linalg.span_bases(states.vectors, tol)`` returns, in which S is diagonal.
-    Any other orthonormal basis of the span gives a wrong map L.
-    """
     n, d = states.n, states.dim
+    span = states.span(tol)
     r = span.shape[1]
     flat = projectors_of(states.vectors @ span.conj()).reshape(n, r * r)
     # the span basis holds left singular vectors, so S is diagonal there, and so are

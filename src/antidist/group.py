@@ -100,9 +100,9 @@ def schur_sum(orb: Orbit, tol: float = linalg.DEFAULT_TOL) -> tuple[float, np.nd
     span of the orbit.
     """
     total = orb.members.projectors.sum(axis=0)
-    r_proj = linalg.span_projector(orb.members.vectors, tol)
-    rank = int(round(np.trace(r_proj).real))
-    c = orb.members.n / rank
+    span = orb.members.span(tol)
+    r_proj = span @ linalg.adjoint(span)
+    c = orb.members.n / span.shape[1]
     if linalg.frobenius(total - c * r_proj) > linalg.RESIDUAL_TOL:
         raise NotScalarOnSupport("orbit sum is not proportional to the span projector")
     return c, r_proj

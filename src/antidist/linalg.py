@@ -2,11 +2,11 @@
 
 Operators live in plain numpy arrays (complex128); real linear systems in
 float64.  Each routine wraps a LAPACK call (through numpy) in the condition
-its callers rely on: ``eigh``/``eigvalsh`` after a Hermitian check, ``lstsq``
-with a rank test, one SVD for span and complement bases (batched over the
-rows of a state set for the complement of each state), and a QR with a
-positive R diagonal, which is the ordered Gram-Schmidt basis.  State vectors
-come as the rows of an (n, d) array.
+its callers rely on: ``eigvalsh`` after a Hermitian check, ``lstsq`` with a
+rank test, one SVD batched over the rows of a state set for the complement of
+each state, and a QR with a positive R diagonal, which is the ordered
+Gram-Schmidt basis.  State vectors come as the rows of an (n, d) array; the
+span of a whole set is ``StateSet.span``, from one SVD per set.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from .errors import SingularSystem
 #: verdict rests on: exclusion probabilities (zero when <= tol); responses,
 #: weights and the qubit margin (positive when > tol); overlaps (orthogonal
 #: when <= tol); eigenvalues (>= -tol); singular values of a state set (a rank
-#: counts those > tol); the fidelity-sum excess, the witness slack, and the
-#: eigenvalues that ``chart_from_povm`` keeps (> tol).  The four constants below
-#: ignore ``tol``.
+#: counts those > tol); the fidelity-sum excess and the witness slack.  The four
+#: constants below ignore ``tol``.
 DEFAULT_TOL = 1e-9
 
 #: Frobenius residual of an operator identity: sum_j M_j = I in a POVM,
@@ -55,20 +54,6 @@ def frobenius(a: np.ndarray) -> float:
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and frobenius(a - adjoint(a)) <= tol
-
-
-def hermitian_eigen(a: np.ndarray, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and the matching
-    orthonormal eigenvectors as columns of ``v``.
-
-    Raises ValueError if ``a`` is not a square matrix Hermitian within ``tol``.
-    """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh((a + adjoint(a)) / 2.0)
 
 
 def is_projection(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -108,36 +93,16 @@ def solve_linear(a: np.ndarray, b: np.ndarray, pivot_floor: float = PIVOT_FLOOR)
     return solution
 
 
-def span_bases(vectors, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal columns spanning the span of the rows of ``vectors`` (n, d) and
-    its orthogonal complement; singular values at or below ``tol`` count as zero,
-    so any vectors will do."""
-    rows = np.asarray(vectors, dtype=complex)
-    if not rows.size:
-        raise ValueError("a span needs at least one vector")
-    u, s, _ = np.linalg.svd(rows.reshape(len(rows), -1).T)
-    rank = int((s > tol).sum())
-    return u[:, :rank], u[:, rank:]
-
-
-def span_projector(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of the input vectors."""
-    span, _ = span_bases(vectors, tol)
-    return span @ adjoint(span)
-
-
 def complements(vectors: np.ndarray) -> np.ndarray:
     """(n, d, d-1) stack of isometries: the columns of slice j are an orthonormal
     basis of the orthogonal complement of row j of the (n, d) unit ``vectors``."""
     return np.linalg.svd(vectors[:, :, None])[0][:, :, 1:]
 
 
-def orthonormal_columns(a: np.ndarray, complete: bool = False) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     """Gram-Schmidt of the columns of ``a``, in order: the QR whose R has a
-    positive real diagonal, which makes it unique.  With ``complete`` the
-    columns are extended to a unitary."""
-    q, r = np.linalg.qr(np.asarray(a, dtype=complex), mode="complete" if complete else "reduced")
-    diag = np.diagonal(r)
-    q[:, : diag.size] *= np.exp(1j * np.angle(diag))
+    positive real diagonal, which makes it unique."""
+    q, r = np.linalg.qr(np.asarray(a, dtype=complex))
+    q *= np.exp(1j * np.angle(np.diagonal(r)))
     return q
 

@@ -2,17 +2,18 @@
 
 Order of attack for a pure state set:
 
-1. pairwise orthogonality (yes via the outcome-swapped measurement),
+1. pairwise orthogonality (yes via the outcome-swapped measurement, unless a
+   large ``tol`` leaves its effects short of a POVM),
 2. the exact qubit decision when d = 2 (yes or no, from the margin s*, the
    gauge of the centred Bloch vectors' convex hull, which the notes give),
-   and again after step 4 for a span of rank 2,
+   and again after step 4 for a span of rank 2 whose coordinates keep the states apart,
 3. the pairwise-fidelity bound (no on violation),
 4. Gram weights plus the sum-equals-projection test (yes with the
    measurement ``conditions.build_povm`` makes of the weights; every
    weighted yes, the qubit ones of step 2 included, uses it),
 5. one Hermitian H with sum_j Pi_j H Pi_j = I, Pi_j = I - P_j, from one
    r^2 x r^2 linear solve on the span of rank r (``conditions.hermitian_povm``,
-   given the span basis that the rank-2 check took):
+   in the basis ``StateSet.span`` that steps 1, 2 and 4 read from one SVD):
    yes when the effects Pi_j H Pi_j form a measurement that verifies; a
    singular system or a failed check passes the set on,
 6. the chart solve: yes with its verified measurement, or no with a
@@ -22,11 +23,13 @@ Order of attack for a pure state set:
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 
 from . import chart as chart_mod
 from . import conditions, linalg, qubit
-from .errors import SingularSystem
+from .errors import DuplicateState, NotNormalized, NotPsd, SingularSystem
 from .states import Certificate, Method, StateSet, Verdict
 
 
@@ -35,14 +38,15 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
     n = states.n
 
     if n >= 2 and conditions.is_distinguishable(states, tol):
-        povm = conditions.swap_povm(states, tol)
-        return Certificate(
-            Verdict.YES,
-            Method.PAIRWISE_ORTHOGONAL,
-            weights=np.ones(n),
-            povm=povm,
-            notes="pairwise orthogonal; outcomes of the identifying measurement rearranged",
-        )
+        # overlaps up to a large tol can leave the swapped effects short of a POVM
+        with suppress(NotNormalized, NotPsd):
+            return Certificate(
+                Verdict.YES,
+                Method.PAIRWISE_ORTHOGONAL,
+                weights=np.ones(n),
+                povm=conditions.swap_povm(states, tol),
+                notes="pairwise orthogonal; outcomes of the identifying measurement rearranged",
+            )
 
     if states.dim == 2:
         return _qubit_certificate(states, None, tol)
@@ -71,11 +75,13 @@ def decide(states: StateSet, tol: float = linalg.DEFAULT_TOL) -> Certificate:
                 notes="weighted projector sum equals the span projector",
             )
 
-    span, _ = linalg.span_bases(states.vectors, tol)
+    span = states.span(tol)
     if span.shape[1] == 2:
-        return _qubit_certificate(states, span, tol)
+        # states apart in C^d may coincide in span coordinates when tol drops a singular value
+        with suppress(DuplicateState):
+            return _qubit_certificate(states, span, tol)
 
-    povm = conditions._hermitian_povm(states, span, tol)
+    povm = conditions.hermitian_povm(states, tol)
     if povm is not None:
         return Certificate(
             Verdict.YES,

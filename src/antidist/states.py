@@ -134,10 +134,10 @@ class StateSet:
     stack of |v><v|.  A single state is a set of one.
 
     The constructor takes a sequence of vectors; ``unit_rows`` validates every
-    row and divides it by its norm.
+    row and divides it by its norm.  ``span`` is the one basis of their span.
     """
 
-    __slots__ = ("vectors", "projectors")
+    __slots__ = ("vectors", "projectors", "_svd")
 
     def __init__(self, rows):
         rows = list(rows)
@@ -169,6 +169,16 @@ class StateSet:
             raise DuplicateState(f"states {i} and {j} coincide up to global phase")
         self.vectors = vectors
         self.projectors = ops
+        self._svd = None
+
+    def span(self, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+        """(d, r) orthonormal columns spanning the states: the left singular vectors
+        of the (d, n) matrix of the vectors whose singular values exceed ``tol``, so
+        r is the rank.  The SVD is taken once per set, on first use."""
+        if self._svd is None:
+            self._svd = np.linalg.svd(self.vectors.T)[:2]
+        u, s = self._svd
+        return u[:, : int((s > tol).sum())]
 
     @property
     def dim(self) -> int:

@@ -47,7 +47,8 @@ def test_criterion_1_weighted_sum_reproduction():
     weights = solve_weights(triple)
     assert np.abs(weights - helpers.SUM_TRIPLE_WEIGHTS).max() <= 1e-10
 
-    r_proj = linalg.span_projector(triple.vectors)
+    span = triple.span()
+    r_proj = span @ span.conj().T
     assert np.abs(r_proj - np.diag([1.0, 1.0, 0.0])).max() <= 1e-10
 
     result = check_sum_condition(triple, weights)

@@ -17,6 +17,7 @@ from antidist import (
     verify_witness,
 )
 from antidist.errors import InvalidChart, ShapeMismatch
+from antidist.states import Povm
 
 import helpers
 
@@ -49,6 +50,19 @@ def test_chart_roundtrip_from_sum_condition_povm():
     assert verify_antidistinguishing(triple, m2)
     for a, b in zip(m.effects, m2.effects):
         assert np.abs(a - b).max() <= 1e-8
+
+
+def test_chart_from_povm_reads_the_complement_spectra():
+    chart = frozen_chart()
+    m = povm_from_chart(chart)
+    back = chart_from_povm(chart.states, m)
+    assert verify_chart(back)
+    assert np.abs(np.sort(back.alphas, axis=1) - np.sort(chart.alphas, axis=1)).max() <= 1e-12
+    assert np.abs(povm_from_chart(back).effects - m.effects).max() <= 1e-12
+    # effect 0 of the rotated measurement is effect 2, which responds to state 0
+    rotated = Povm(np.roll(m.effects, 1, axis=0))
+    with pytest.raises(InvalidChart, match="effect 0 does not annihilate state 0"):
+        chart_from_povm(chart.states, rotated)
 
 
 def test_chart_invalid_column_fails():

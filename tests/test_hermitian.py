@@ -23,8 +23,7 @@ def assert_agrees(sset: StateSet):
     if povm is not None:
         assert verify_antidistinguishing(sset, povm)
         with pytest.MonkeyPatch.context() as patch:
-            # decide hands the stage its span basis through the private helper
-            patch.setattr(conditions, "_hermitian_povm", lambda states, span, tol: None)
+            patch.setattr(conditions, "hermitian_povm", lambda states, tol: None)
             cert = decide(sset)
             assert cert.verdict is not Verdict.NO and cert.method is not Method.ONE_HERMITIAN
     return povm

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from antidist import linalg
+from antidist import StateSet, linalg
 from antidist.errors import SingularSystem
 
 import helpers
@@ -44,36 +44,6 @@ def test_trace_values():
     rng = np.random.default_rng(3)
     p = helpers.random_pure(5, rng).projectors[0]
     assert np.isclose(np.trace(p).real, 1.0)
-
-
-def test_hermitian_eigen_known_spectra():
-    w, _ = linalg.hermitian_eigen(np.diag([1.0, 1.0, 0.0]).astype(complex))
-    assert np.allclose(w, [0.0, 1.0, 1.0])
-
-    p2 = helpers.sum_condition_triple().projectors[1]
-    w, _ = linalg.hermitian_eigen(p2)
-    assert np.allclose(w, [0.0, 0.0, 1.0], atol=1e-9)
-
-    w, _ = linalg.hermitian_eigen(np.diag([0.0, 9.0, 4.0]).astype(complex) / 12.0)
-    assert np.allclose(w, [0.0, 1 / 3, 3 / 4], atol=1e-9)
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
-def test_hermitian_eigen_reconstruction(d):
-    rng = np.random.default_rng(100 + d)
-    for _ in range(20):
-        a = random_hermitian(d, rng)
-        w, v = linalg.hermitian_eigen(a)
-        assert np.all(np.diff(w) >= -1e-12)
-        assert np.linalg.norm(a - (v * w) @ v.conj().T) <= 1e-8
-        assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-8
-        # independent route: same spectrum as the library eigensolver
-        assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-8)
 
 
 def test_is_projection():
@@ -147,25 +117,31 @@ def test_solve_linear_residuals_on_random_systems():
         assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
 
 
+def span_projector(vectors) -> np.ndarray:
+    span = StateSet(vectors).span()
+    return span @ span.conj().T
+
+
 def test_span_projector_known_cases():
     triple = helpers.sum_condition_triple()
-    proj = linalg.span_projector(triple.vectors)
+    proj = span_projector(triple.vectors)
     assert np.allclose(proj, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     e1 = np.zeros(4, dtype=complex)
     e1[0] = 1.0
-    assert np.allclose(linalg.span_projector([e1]), np.diag([1.0, 0, 0, 0]))
+    assert np.allclose(span_projector([e1]), np.diag([1.0, 0, 0, 0]))
 
     standard = helpers.standard_orbit_triple()
-    proj = linalg.span_projector(standard.vectors)
+    proj = span_projector(standard.vectors)
     expected = np.eye(3) - np.ones((3, 3)) / 3
     assert np.allclose(proj, expected, atol=1e-12)
     assert np.isclose(np.trace(proj).real, 2.0)
+    assert standard.span().shape == (3, 2)
 
 
 def test_span_projector_requires_input():
     with pytest.raises(ValueError):
-        linalg.span_projector([])
+        span_projector([])
 
 
 def test_span_projector_properties():
@@ -174,14 +150,28 @@ def test_span_projector_properties():
         d = int(rng.integers(2, 6))
         k = int(rng.integers(1, 2 * d + 1))
         vecs = [helpers.random_vector(d, rng) for _ in range(k)]
-        proj = linalg.span_projector(vecs)
+        proj = span_projector(vecs)
         assert linalg.is_projection(proj, 1e-8)
         assert np.isclose(np.trace(proj).real, min(k, d), atol=1e-8)
         for v in vecs:
             assert np.linalg.norm(proj @ v - v) <= 1e-8
         perm = rng.permutation(k)
-        proj2 = linalg.span_projector([vecs[i] for i in perm])
+        proj2 = span_projector([vecs[i] for i in perm])
         assert np.linalg.norm(proj - proj2) <= 1e-8
+
+
+def test_span_is_the_svd_of_the_set_taken_once(monkeypatch):
+    rng = np.random.default_rng(37)
+    sset = StateSet([helpers.random_vector(4, rng) for _ in range(3)])
+    u, s, _ = np.linalg.svd(sset.vectors.T)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    assert np.array_equal(sset.span(), u[:, :3])
+    # a tol between singular values drops the smaller ones; no tol reruns the SVD
+    assert sset.span(s[1] * 0.5 + s[2] * 0.5).shape == (4, 2) and sset.span(2.0).shape == (4, 0)
+    assert len(calls) == 1
+    joined = StateSet.join(sset, StateSet([helpers.random_vector(4, rng)]))
+    assert joined.span().shape == (4, 4) and len(calls) == 2
 
 
 def test_orthonormal_complement():
@@ -189,24 +179,28 @@ def test_orthonormal_complement():
     for _ in range(20):
         d = int(rng.integers(2, 6))
         v = helpers.random_vector(d, rng)
-        comp = list(linalg.span_bases([v])[1].T)
+        comp = list(linalg.complements(v[None])[0].T)
         assert len(comp) == d - 1
         for u in comp:
             assert abs(np.vdot(v, u)) <= 1e-9
-        full = linalg.span_projector([v] + comp)
+        full = span_projector([v] + comp)
         assert np.allclose(full, np.eye(d), atol=1e-9)
 
-        # several vectors, the last ones combinations of the first
+        # several vectors, the last ones combinations of the first (for k = 1 the
+        # same state, which a set holds once): the complement of their span is
+        # the kernel of the span projector
         k = int(rng.integers(1, d))
         indep = [helpers.random_vector(d, rng) for _ in range(k)]
         mixes = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-        vecs = indep + [m @ np.array(indep) for m in mixes]
-        comp = list(linalg.span_bases(vecs)[1].T)
-        assert len(comp) == d - k
+        mixed = [m @ np.array(indep) for m in mixes] if k > 1 else []
+        vecs = indep + [w / np.linalg.norm(w) for w in mixed]
+        span = StateSet(vecs).span()
+        assert span.shape == (d, k)
+        comp = list(np.linalg.svd(np.eye(d) - span @ span.conj().T)[0][:, : d - k].T)
         for u in comp:
             assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-9)
             assert max(abs(np.vdot(w, u)) for w in vecs) <= 1e-9
-        full = linalg.span_projector(vecs + comp)
+        full = span_projector(list(span.T) + comp)
         assert np.allclose(full, np.eye(d), atol=1e-9)
 
 
@@ -218,7 +212,7 @@ def test_complements_match_the_per_vector_svd():
         comps = linalg.complements(vecs)
         assert comps.shape == (2 * d, d, d - 1)
         for v, comp in zip(vecs, comps):
-            assert np.array_equal(comp, linalg.span_bases([v])[1])
+            assert np.array_equal(comp, np.linalg.svd(np.array([v]).T)[0][:, 1:])
             assert np.abs(v.conj() @ comp).max() <= 1e-12
 
 

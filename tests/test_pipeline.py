@@ -186,3 +186,15 @@ def test_yes_certificates_always_carry_verifying_povm():
             assert verify_antidistinguishing(sset, cert.povm)
         if cert.method is Method.CHART_WITNESS:
             assert verify_witness(sset, cert.witness)
+
+
+def test_decide_takes_one_svd_per_set(monkeypatch):
+    # the sum condition, the rank-2 check and the one-Hermitian stage read one StateSet.span
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    rng = np.random.default_rng(163)
+    for d in range(5, 9):
+        sset = StateSet([helpers.random_vector(d, rng) for _ in range(2 * d)])
+        calls.clear()
+        cert = decide(sset)
+        assert cert.method is Method.ONE_HERMITIAN and len(calls) == 1, (d, len(calls))

@@ -147,7 +147,7 @@ def test_two_n_agrees_with_merge_loop():
         ops, effects = [], []
         for v, p in zip(states.vectors, states.projectors):
             # the pure partner: the first column of the SVD complement of v
-            phi = linalg.span_bases([v])[1][:, 0]
+            phi = linalg.complements(v[None])[0, :, 0]
             ops += [p, np.outer(phi, phi.conj())]
             effects += [(np.eye(d) - p) / n, p / n]
         kept, summed = _merge_loop(ops, effects)
